@@ -20,12 +20,12 @@
 
 use chaff_bench::{fixture_chain, record_bench_metadata};
 use chaff_core::detector::{BatchPrefixDetector, DetectInput};
+use chaff_core::temp::TempPath;
 use chaff_markov::models::ModelKind;
 use chaff_sim::fleet::{FleetConfig, FleetOutcome, FleetSimulation};
 use chaff_store::FleetStoreReader;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::time::Duration;
 
 /// Fleet size of the bench rung.
@@ -33,10 +33,6 @@ const USERS: usize = 50_000;
 
 /// Persisted slots per store file.
 const HORIZON: usize = 12;
-
-fn store_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("chaff_bench_{}_{name}.store", std::process::id()))
-}
 
 /// One natural fleet outcome shared by every group in this binary.
 fn fixture_outcome() -> FleetOutcome {
@@ -49,19 +45,18 @@ fn fixture_outcome() -> FleetOutcome {
 /// Checkpoint write: outcome → store file (overwritten every iter).
 fn bench_write(c: &mut Criterion) {
     let outcome = fixture_outcome();
-    let path = store_path("write");
+    let path = TempPath::new("bench_write");
     let mut group = c.benchmark_group("fleet_store/write");
     group.bench_with_input(BenchmarkId::from_parameter(USERS), &USERS, |b, _| {
         b.iter(|| outcome.checkpoint(black_box(&path)).unwrap())
     });
     group.finish();
-    std::fs::remove_file(&path).ok();
 }
 
 /// Whole-grid restore: open + rebuild grid and arenas.
 fn bench_load(c: &mut Criterion) {
     let outcome = fixture_outcome();
-    let path = store_path("load");
+    let path = TempPath::new("bench_load");
     outcome.checkpoint(&path).expect("checkpoint");
     let mut group = c.benchmark_group("fleet_store/load");
     group.bench_with_input(BenchmarkId::from_parameter(USERS), &USERS, |b, _| {
@@ -71,14 +66,13 @@ fn bench_load(c: &mut Criterion) {
         })
     });
     group.finish();
-    std::fs::remove_file(&path).ok();
 }
 
 /// Paged detection straight off the file: one store page resident.
 fn bench_stream_detect(c: &mut Criterion) {
     let chain = fixture_chain(ModelKind::NonSkewed, 10, 71);
     let outcome = fixture_outcome();
-    let path = store_path("stream");
+    let path = TempPath::new("bench_stream");
     outcome.checkpoint(&path).expect("checkpoint");
     let detector = BatchPrefixDetector::new();
     let mut group = c.benchmark_group("fleet_store/stream_detect");
@@ -94,7 +88,6 @@ fn bench_stream_detect(c: &mut Criterion) {
         })
     });
     group.finish();
-    std::fs::remove_file(&path).ok();
 }
 
 /// Stamps pool size and lane width into the baseline before any record.

@@ -1,52 +1,46 @@
-//! The fleet-scale detection core: batched, sharded prefix detection.
+//! The fleet-scale detection entry: one slot-row loop behind every
+//! batch request.
 //!
 //! [`MlDetector::detect_prefixes`](super::MlDetector::detect_prefixes)
 //! walks the transition matrix per trajectory (one `ln` per step) and
 //! re-scans all `N` cumulative scores per slot through `argmax_set` —
 //! fine for the paper's `N ≤ 50` populations, prohibitive for fleets.
-//! [`BatchPrefixDetector`] produces *identical* detections from a
-//! different execution plan:
+//! [`BatchPrefixDetector::detect_prefixes`] produces *identical*
+//! detections from one [`DetectInput`] in three steps:
 //!
-//! 1. the mobility model's log-likelihoods are cached once in a
-//!    [`LogLikelihoodTable`] (columnar kernel, no `ln` on the hot path);
-//! 2. trajectories are split into contiguous index shards, and each shard
-//!    accumulates its slice of the flat `N × T` cumulative-score matrix
-//!    slot by slot on the process-wide worker [`pool`](crate::pool) (no
-//!    per-call thread spawns) through the vectorized per-slot kernels of
-//!    [`kernel`];
-//! 3. every shard extracts its per-slot argmax candidates (and optional
-//!    top-k) *during* the accumulation pass, so building the per-slot
-//!    [`Detection`]s is a cheap cross-shard merge instead of a fresh
-//!    `O(N)` scan with an index-vector allocation per slot.
+//! 1. **Model.** The [`DetectModel`] resolves once into borrowed
+//!    per-epoch class tables plus an [`EpochSchedule`]. A chain, a table,
+//!    a table set and a registry are stationary (one epoch); a
+//!    [`DetectModel::Schedule`] brings the registry's own schedule, so a
+//!    one-epoch schedule *is* the stationary case. Only a chain builds a
+//!    [`LogLikelihoodTable`]; every other model is borrowed, never cloned.
+//! 2. **Observations.** The [`DetectObservations`] become one
+//!    [`SlotRowSource`]: trajectories are shape-checked and transposed
+//!    once into a [`CellGrid`], grids are lent row by row through
+//!    [`GridRowSource`], and paged sources are used as they are.
+//! 3. **Drive.** Every block of rows the source lends is pushed through
+//!    a [`StreamingPrefixDetector`] — the per-slot kernels of
+//!    [`kernel`](super::kernel) on the process-wide worker
+//!    [`pool`](crate::pool) — and the source is held to its declared
+//!    horizon. In-memory observations go in as one block, so each shard
+//!    runs the whole horizon in one pool job; a paged source lends row
+//!    by row.
+//!
+//! Batch detection is therefore streamed detection *by construction*:
+//! the same accumulator updates in the same order, the same two-pass
+//! argmax, the same cross-shard merge. State is `O(N · classes)`
+//! whatever the horizon; the `N × T` score matrix never exists.
 //!
 //! Determinism: each trajectory's score is accumulated in slot order by
 //! exactly one shard, maxima merge with exact comparisons, and tie sets
 //! are emitted in increasing index order — so results are bit-for-bit
 //! independent of the shard count and equal to the per-trajectory path.
-//!
-//! All of this sits behind **one entry point**:
-//! [`BatchPrefixDetector::detect_prefixes`] takes a [`DetectInput`]
-//! pairing a model ([`DetectModel`]: chain, table, per-class tables, or
-//! registry) with an observation set ([`DetectObservations`]:
-//! trajectories, a columnar grid, or a paged [`SlotRowSource`] stream)
-//! and dispatches to the matching execution plan. Heterogeneous
-//! (multi-class) models score the enlarged chaffed candidate set against
-//! one table per mobility-model class (best class per prefix), with the
-//! same sharded, reproducible semantics; paged observations run through
-//! the online kernel ([`StreamingPrefixDetector`](super::StreamingPrefixDetector))
-//! in `O(N)` state, so fleet stores larger than RAM stream straight into
-//! detection. Time-varying models enter through
-//! [`DetectModel::Schedule`]: a multi-epoch
-//! [`MobilityRegistry`] is scored with
-//! its [`EpochSchedule`](chaff_markov::EpochSchedule), each slot under
-//! that slot's epoch tables, via the same online kernel.
 
 use super::input::{DetectInput, DetectModel, DetectObservations, GridRowSource, SlotRowSource};
-use super::kernel::{self, fold};
 use super::ml::validate_observations;
-use super::{argmax_set, Detection};
-use crate::{loglik_cmp, Result};
-use chaff_markov::{CellGrid, LogLikelihoodTable, MarkovChain, MobilityRegistry, Trajectory};
+use super::{argmax_set, Detection, StreamingPrefixDetector};
+use crate::Result;
+use chaff_markov::{CellGrid, EpochSchedule, LogLikelihoodTable, MarkovChain, Trajectory};
 
 /// Largest supported population: candidate trackers store service
 /// indices as `u32` (half the footprint of `usize` at fleet scale), so
@@ -78,8 +72,8 @@ pub(super) fn service_index(lo: usize, j: usize) -> u32 {
 /// Batched maximum-likelihood prefix detector for fleet-scale populations.
 ///
 /// Semantically equivalent to [`MlDetector`](super::MlDetector) (eq. 1,
-/// evaluated per prefix); see the [module docs](self) for the execution
-/// plan. Construct with [`new`](BatchPrefixDetector::new) to size shards
+/// evaluated per prefix); see the [module docs](self) for the row loop.
+/// Construct with [`new`](BatchPrefixDetector::new) to size shards
 /// from the machine, or [`with_shards`](BatchPrefixDetector::with_shards)
 /// to pin the shard count (results do not depend on it).
 ///
@@ -168,8 +162,8 @@ impl BatchPrefixDetector {
     /// entry point over every *(model, observations)* pairing (see
     /// [`DetectInput`]). Produces exactly the `Detection` sequence of
     /// [`MlDetector::detect_prefixes`](super::MlDetector::detect_prefixes)
-    /// for every combination: the representation changes the execution
-    /// plan, never the result.
+    /// for every combination: each request runs the one slot-row loop
+    /// described in the [module docs](self).
     ///
     /// ```
     /// use chaff_core::detector::{BatchPrefixDetector, DetectInput, MlDetector};
@@ -197,206 +191,83 @@ impl BatchPrefixDetector {
     /// [`CoreError::PopulationTooLarge`](crate::CoreError::PopulationTooLarge)
     /// past [`MAX_POPULATION`], and
     /// [`CoreError::RowSource`](crate::CoreError::RowSource) when a paged
-    /// source fails or disagrees with its declared horizon.
+    /// source fails or disagrees with its declared horizon. Trajectory
+    /// shapes are checked before the model, so a request with both an
+    /// empty table set and no trajectories reports the trajectories.
     pub fn detect_prefixes(&self, input: DetectInput<'_>) -> Result<Vec<Detection>> {
         let DetectInput {
             model,
             observations,
         } = input;
-        // A genuinely time-varying model runs its own driver; a
-        // one-epoch `Schedule` *is* the registry's stationary view and
-        // falls through to the `Registry` arm verbatim (the
-        // reduction-to-stationary guarantee).
-        let model = match model {
-            DetectModel::Schedule(registry) if !registry.is_stationary() => {
-                return self.prefixes_schedule(registry, observations);
-            }
-            DetectModel::Schedule(registry) => DetectModel::Registry(registry),
-            other => other,
-        };
-        // Resolve the model to a per-class table slice; the `Chain` arm
-        // owns its freshly built table, the others borrow the caller's.
-        let built_table;
-        let single_ref: [&LogLikelihoodTable; 1];
-        let registry_refs: Vec<&LogLikelihoodTable>;
-        let tables: &[&LogLikelihoodTable] = match model {
+        // Model: borrowed per-epoch class tables plus the slot -> epoch
+        // map. Only the `Chain` arm builds a table.
+        let built;
+        let (epoch_tables, schedule): (Vec<Vec<&LogLikelihoodTable>>, EpochSchedule) = match model {
             DetectModel::Chain(chain) => {
-                built_table = chain.log_likelihood_table();
-                single_ref = [&built_table];
-                &single_ref
+                built = chain.log_likelihood_table();
+                (vec![vec![&built]], EpochSchedule::stationary())
             }
-            DetectModel::Table(table) => {
-                single_ref = [table];
-                &single_ref
+            DetectModel::Table(table) => (vec![vec![table]], EpochSchedule::stationary()),
+            DetectModel::Tables(tables) => (vec![tables.to_vec()], EpochSchedule::stationary()),
+            DetectModel::Registry(registry) => {
+                (vec![registry.tables()], EpochSchedule::stationary())
             }
-            DetectModel::Tables(tables) => tables,
-            // `Schedule` was normalized above: multi-epoch registries
-            // returned early, one-epoch ones became `Registry`. Scoring
-            // epoch 0 here keeps the match total without a panic site.
-            DetectModel::Registry(registry) | DetectModel::Schedule(registry) => {
-                registry_refs = registry.tables();
-                &registry_refs
-            }
+            DetectModel::Schedule(registry) => (
+                (0..registry.num_epochs())
+                    .map(|epoch| registry.tables_at(epoch))
+                    .collect(),
+                registry.schedule().clone(),
+            ),
         };
-        match observations {
-            DetectObservations::Trajectories(observed) => {
-                self.prefixes_trajectories(tables, observed)
-            }
-            DetectObservations::Columnar(grid) => self.prefixes_columnar(tables, grid),
-            DetectObservations::Paged(source) => self.prefixes_paged(tables, source),
-        }
-    }
-
-    /// Per-trajectory workhorse: single-table fast path, mixture pass
-    /// otherwise. Shapes are checked up front; cell ranges are checked
-    /// inside the sharded pass (fused with the first read of each tile)
-    /// so the hot path never walks the observation set twice.
-    fn prefixes_trajectories(
-        &self,
-        tables: &[&LogLikelihoodTable],
-        observed: &[Trajectory],
-    ) -> Result<Vec<Detection>> {
-        let first = validate_tables(tables)?;
-        let horizon = validate_shape(observed)?;
-        let scores = if tables.len() == 1 {
-            self.run(first, observed, 0, false)?
-        } else {
-            self.run_sharded(observed.len(), horizon, |range| {
-                shard_pass_mixture(tables, observed, range)
-            })?
-        };
-        Ok(merge_detections(&scores))
-    }
-
-    /// Columnar workhorse: streams the slot-major grid row by row,
-    /// keeping only `O(shard width)` running state — the full `N × T`
-    /// score matrix is never materialized. Bit-for-bit equal to the
-    /// per-trajectory workhorse over [`CellGrid::to_trajectories`], for
-    /// every shard count.
-    fn prefixes_columnar(
-        &self,
-        tables: &[&LogLikelihoodTable],
-        observed: &CellGrid,
-    ) -> Result<Vec<Detection>> {
-        let first = validate_tables(tables)?;
-        validate_grid(observed)?;
-        let scores =
-            self.run_sharded(observed.num_trajectories(), observed.horizon(), |range| {
-                if tables.len() == 1 {
-                    shard_pass_columnar(first, observed, range)
-                } else {
-                    shard_pass_columnar_mixture(tables, observed, range)
-                }
-            })?;
-        Ok(merge_detections(&scores))
-    }
-
-    /// Paged workhorse: pulls slot rows from the source and pushes them
-    /// through a [`StreamingPrefixDetector`](super::StreamingPrefixDetector)
-    /// sized like this detector's shards — the same per-slot kernels as
-    /// the columnar pass, so detections are bit-for-bit equal to loading
-    /// the whole grid, while state stays `O(N · classes)` regardless of
-    /// how large the backing store is.
-    fn prefixes_paged(
-        &self,
-        tables: &[&LogLikelihoodTable],
-        source: &mut dyn SlotRowSource,
-    ) -> Result<Vec<Detection>> {
-        validate_tables(tables)?;
-        let n = source.num_trajectories();
-        let horizon = source.horizon();
-        if n == 0 {
-            return Err(crate::CoreError::NoTrajectories);
-        }
-        if horizon == 0 {
-            return Err(crate::CoreError::EmptyTrajectory);
-        }
-        ensure_population_fits(n)?;
-        let owned: Vec<LogLikelihoodTable> = tables.iter().map(|&t| t.clone()).collect();
-        let mut online =
-            super::StreamingPrefixDetector::with_shards(owned, n, self.effective_shards(n))?;
-        let mut out = Vec::with_capacity(horizon);
-        while let Some(row) = source.next_row()? {
-            if out.len() == horizon {
-                return Err(crate::CoreError::RowSource {
-                    slot: out.len(),
-                    reason: format!("source ran past its declared horizon of {horizon} slots"),
-                });
-            }
-            out.push(online.push_slot(row)?);
-        }
-        if out.len() != horizon {
-            return Err(crate::CoreError::RowSource {
-                slot: out.len(),
-                reason: format!(
-                    "source ended after {} of {horizon} declared slot rows",
-                    out.len()
-                ),
-            });
-        }
-        Ok(out)
-    }
-
-    /// Time-varying workhorse behind [`DetectModel::Schedule`]: every
-    /// observation representation is driven slot row by slot row through
-    /// a schedule-aware
-    /// [`StreamingPrefixDetector`](super::StreamingPrefixDetector), so
-    /// the arrival at slot `s` is scored under epoch
-    /// `schedule.epoch_of(s)`'s per-class tables — the same per-slot
-    /// kernels as every stationary path, with the table set swapped by
-    /// the epoch clock. Detections stay bit-for-bit independent of the
-    /// shard count and of the observation representation.
-    fn prefixes_schedule(
-        &self,
-        registry: &MobilityRegistry,
-        observations: DetectObservations<'_>,
-    ) -> Result<Vec<Detection>> {
-        match observations {
+        // Observations: one slot-row source for every representation.
+        let transposed;
+        let mut grid_rows;
+        let source: &mut dyn SlotRowSource = match observations {
             DetectObservations::Trajectories(observed) => {
                 validate_shape(observed)?;
-                let grid = CellGrid::from_trajectories(observed)?;
-                self.schedule_paged(registry, &mut GridRowSource::new(&grid))
+                transposed = CellGrid::from_trajectories(observed)?;
+                grid_rows = GridRowSource::new(&transposed);
+                &mut grid_rows
             }
             DetectObservations::Columnar(grid) => {
-                validate_grid(grid)?;
-                self.schedule_paged(registry, &mut GridRowSource::new(grid))
+                grid_rows = GridRowSource::new(grid);
+                &mut grid_rows
             }
-            DetectObservations::Paged(source) => self.schedule_paged(registry, source),
-        }
+            DetectObservations::Paged(source) => source,
+        };
+        self.drive(epoch_tables, schedule, source)
     }
 
-    /// The row-drive loop of [`prefixes_schedule`](Self::prefixes_schedule):
-    /// [`prefixes_paged`](Self::prefixes_paged) with the detector built
-    /// from the registry's full epoch-major table set.
-    fn schedule_paged(
+    /// The one row-drive loop: pushes every block of rows `source` lends
+    /// through a [`StreamingPrefixDetector`] over the borrowed tables and
+    /// holds the source to its declared horizon.
+    fn drive(
         &self,
-        registry: &MobilityRegistry,
+        epoch_tables: Vec<Vec<&LogLikelihoodTable>>,
+        schedule: EpochSchedule,
         source: &mut dyn SlotRowSource,
     ) -> Result<Vec<Detection>> {
         let n = source.num_trajectories();
         let horizon = source.horizon();
-        if n == 0 {
-            return Err(crate::CoreError::NoTrajectories);
-        }
-        if horizon == 0 {
-            return Err(crate::CoreError::EmptyTrajectory);
-        }
-        ensure_population_fits(n)?;
-        let mut online = super::StreamingPrefixDetector::with_schedule(
-            registry.to_epoch_tables(),
-            registry.schedule().clone(),
+        // The constructor checks the tables, then the population.
+        let mut online = StreamingPrefixDetector::with_schedule(
+            epoch_tables,
+            schedule,
             n,
             self.effective_shards(n),
         )?;
+        if horizon == 0 {
+            return Err(crate::CoreError::EmptyTrajectory);
+        }
         let mut out = Vec::with_capacity(horizon);
-        while let Some(row) = source.next_row()? {
-            if out.len() == horizon {
+        while let Some(rows) = source.next_rows()? {
+            if rows.len() / n > horizon - out.len() {
                 return Err(crate::CoreError::RowSource {
-                    slot: out.len(),
+                    slot: horizon,
                     reason: format!("source ran past its declared horizon of {horizon} slots"),
                 });
             }
-            out.push(online.push_slot(row)?);
+            out.extend(online.push_slots(rows)?);
         }
         if out.len() != horizon {
             return Err(crate::CoreError::RowSource {
@@ -409,144 +280,12 @@ impl BatchPrefixDetector {
         }
         Ok(out)
     }
-
-    /// Scores every prefix, returning the full flat `N × T`
-    /// cumulative-score matrix with per-slot argmax sets and global top-`k`
-    /// rankings extracted incrementally during the sharded pass.
-    ///
-    /// # Errors
-    ///
-    /// Same validation errors as [`MlDetector::detect`](super::MlDetector::detect).
-    pub fn score_prefixes(
-        &self,
-        chain: &MarkovChain,
-        observed: &[Trajectory],
-        top_k: usize,
-    ) -> Result<PrefixScores> {
-        validate_observations(chain, observed)?;
-        ensure_population_fits(observed.len())?;
-        let table = chain.log_likelihood_table();
-        let shard_scores = self.run(&table, observed, top_k, true)?;
-        let detections = merge_detections(&shard_scores);
-        let top = merge_top_k(&shard_scores, top_k);
-        let n = observed.len();
-        let horizon = shard_scores.horizon;
-        // Assemble the flat slot-major matrix from the shard blocks.
-        let mut scores = vec![0.0f64; n * horizon];
-        for t in 0..horizon {
-            let row = &mut scores[t * n..(t + 1) * n];
-            for shard in &shard_scores.shards {
-                let width = shard.hi - shard.lo;
-                // The block pass always materializes its slice
-                // (`keep_block` above); `Option::iter` keeps that
-                // invariant structural instead of a panic site.
-                for block in shard.block.iter() {
-                    row[shard.lo..shard.hi].copy_from_slice(&block[t * width..(t + 1) * width]);
-                }
-            }
-        }
-        Ok(PrefixScores {
-            num_trajectories: n,
-            horizon,
-            scores,
-            detections,
-            top_k: top_k.min(n),
-            top,
-        })
-    }
-
-    /// The sharded accumulation pass. `observed` must already be
-    /// validated. `top_k == 0` skips top-k bookkeeping; `keep_block`
-    /// materializes each shard's slice of the cumulative-score matrix
-    /// (needed by [`score_prefixes`](Self::score_prefixes) only — the
-    /// plain detection path tracks candidates with a running column and
-    /// never writes the matrix).
-    fn run(
-        &self,
-        table: &LogLikelihoodTable,
-        observed: &[Trajectory],
-        top_k: usize,
-        keep_block: bool,
-    ) -> Result<ShardedScores> {
-        let horizon = observed.first().map_or(0, Trajectory::len);
-        self.run_sharded(observed.len(), horizon, |range| {
-            if keep_block {
-                shard_pass_block(table, observed, range, top_k)
-            } else {
-                shard_pass_light(table, observed, range)
-            }
-        })
-    }
-
-    /// The sharding scaffold shared by every pass: splits the population
-    /// of `n` trajectories into contiguous index ranges, runs `pass` per
-    /// range (on the shared worker pool when more than one range exists)
-    /// and collects results in shard order.
-    fn run_sharded<F>(&self, n: usize, horizon: usize, pass: F) -> Result<ShardedScores>
-    where
-        F: Fn((usize, usize)) -> Result<ShardScores> + Sync,
-    {
-        let shards = self.effective_shards(n);
-        let chunk = n.div_ceil(shards);
-        let ranges: Vec<(usize, usize)> = (0..shards)
-            .map(|s| (s * chunk, ((s + 1) * chunk).min(n)))
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
-        let shards: Result<Vec<ShardScores>> = if ranges.len() <= 1 {
-            pass(ranges.first().map_or((0, 0), |&r| r)).map(|s| vec![s])
-        } else {
-            // Dispatch onto the process-wide worker pool — repeated
-            // detection calls reuse the same parked threads instead of
-            // spawning per call. Collecting results in shard order makes
-            // the lowest erroring shard win, so the same error *variant*
-            // surfaces for every shard count (the reported cell may
-            // differ from the sequential path's, which scans trajectory
-            // by trajectory rather than slot-paired). A panicking shard
-            // is re-raised on the caller's thread by the pool scope,
-            // lowest shard first.
-            let mut slots: Vec<Option<Result<ShardScores>>> = ranges.iter().map(|_| None).collect();
-            crate::pool::global().scope(|scope| {
-                for (&range, slot) in ranges.iter().zip(slots.iter_mut()) {
-                    let pass = &pass;
-                    scope.spawn(move || *slot = Some(pass(range)));
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("pool scope ran every shard"))
-                .collect()
-        };
-        Ok(ShardedScores {
-            horizon,
-            shards: shards?,
-        })
-    }
-}
-
-/// Validates a per-class table set: non-empty, all tables over the same
-/// cell space. Returns the first table (the whole set for single-class
-/// dispatch decisions).
-fn validate_tables<'a>(tables: &[&'a LogLikelihoodTable]) -> Result<&'a LogLikelihoodTable> {
-    let first = *tables
-        .first()
-        .ok_or(crate::CoreError::Markov(chaff_markov::MarkovError::Empty))?;
-    for table in &tables[1..] {
-        if table.num_states() != first.num_states() {
-            return Err(crate::CoreError::Markov(
-                chaff_markov::MarkovError::DimensionMismatch {
-                    expected: first.num_states(),
-                    found: table.num_states(),
-                },
-            ));
-        }
-    }
-    Ok(first)
 }
 
 /// Validates the shape of an observation set (non-empty, equal lengths)
-/// without touching cell contents; the sharded pass range-checks cells as
-/// it first reads them.
-fn validate_shape(observed: &[Trajectory]) -> Result<usize> {
+/// without touching cell contents; the row loop range-checks cells as it
+/// pushes each row.
+fn validate_shape(observed: &[Trajectory]) -> Result<()> {
     if observed.is_empty() {
         return Err(crate::CoreError::NoTrajectories);
     }
@@ -563,528 +302,7 @@ fn validate_shape(observed: &[Trajectory]) -> Result<usize> {
             });
         }
     }
-    Ok(horizon)
-}
-
-/// Validates a columnar observation grid (non-empty in both dimensions,
-/// population within the `u32` index space); cells are range-checked by
-/// the streaming pass on first read.
-fn validate_grid(observed: &CellGrid) -> Result<()> {
-    if observed.num_trajectories() == 0 {
-        return Err(crate::CoreError::NoTrajectories);
-    }
-    if observed.horizon() == 0 {
-        return Err(crate::CoreError::EmptyTrajectory);
-    }
-    ensure_population_fits(observed.num_trajectories())
-}
-
-/// Flattens per-slot candidate lists into the concatenated tie layout of
-/// [`ShardScores`] (no score block, no top-k) — the shared tail of every
-/// detection-only shard pass.
-fn light_shard_scores(
-    (lo, hi): (usize, usize),
-    maxima: Vec<f64>,
-    candidates: Vec<Vec<(u32, f64)>>,
-) -> ShardScores {
-    let horizon = maxima.len();
-    let mut ties = Vec::new();
-    let mut tie_starts = Vec::with_capacity(horizon + 1);
-    tie_starts.push(0);
-    for slot in candidates {
-        ties.extend(slot);
-        tie_starts.push(ties.len());
-    }
-    ShardScores {
-        lo,
-        hi,
-        block: None,
-        maxima,
-        ties,
-        tie_starts,
-        top: Vec::new(),
-        top_starts: vec![0; horizon + 1],
-    }
-}
-
-/// Advances one slot of the single-table columnar kernel: the cumulative
-/// score of trajectory `lo + j` moves from `accs[j]` to
-/// `accs[j] + increment(prev_row[j] -> row[j])` (or is initialized from
-/// `log_initial` when `prev_row` is `None`, i.e. at slot zero), and every
-/// updated score is folded into the slot's running max / tie trackers in
-/// ascending index order.
-///
-/// The columnar streaming shard pass behind the single-table grid
-/// requests of [`BatchPrefixDetector::detect_prefixes`]: walks
-/// the grid slot row by slot row (unit stride, exactly the storage
-/// order), carrying one running cumulative score per owned trajectory
-/// and folding each into the per-slot max/tie trackers via
-/// [`advance_slot_single`]. State is `O(width + horizon)` — no `N × T`
-/// block, no per-trajectory allocation.
-///
-/// Scores are bit-for-bit those of the per-trajectory pass: each
-/// trajectory's increments are added in slot order either way, and per
-/// slot the fold visits trajectories in ascending index order.
-fn shard_pass_columnar(
-    table: &LogLikelihoodTable,
-    observed: &CellGrid,
-    (lo, hi): (usize, usize),
-) -> Result<ShardScores> {
-    let horizon = observed.horizon();
-    let width = hi - lo;
-    let mut maxima = vec![f64::NEG_INFINITY; horizon];
-    let mut candidates: Vec<Vec<(u32, f64)>> = vec![Vec::new(); horizon];
-    let mut accs = vec![0.0f64; width];
-    for ((t, best), slot) in (0..horizon)
-        .zip(maxima.iter_mut())
-        .zip(candidates.iter_mut())
-    {
-        let row = &observed.row(t)[lo..hi];
-        let prev_row = if t == 0 {
-            None
-        } else {
-            Some(&observed.row(t - 1)[lo..hi])
-        };
-        kernel::advance_slot_single(table, lo, row, prev_row, &mut accs, best, slot)?;
-    }
-    Ok(light_shard_scores((lo, hi), maxima, candidates))
-}
-
-/// The columnar multi-class (mixture) shard pass behind the multi-table
-/// grid requests of [`BatchPrefixDetector::detect_prefixes`]: one
-/// running accumulator per `(trajectory, class)` pair (class-major per
-/// trajectory), scoring each prefix by its best class via
-/// [`advance_slot_mixture`] — the same generalized-likelihood-ratio
-/// semantics, accumulation order and fold order as the per-trajectory
-/// mixture pass, so results are bit-for-bit equal and shard-count
-/// independent.
-fn shard_pass_columnar_mixture(
-    tables: &[&LogLikelihoodTable],
-    observed: &CellGrid,
-    (lo, hi): (usize, usize),
-) -> Result<ShardScores> {
-    let horizon = observed.horizon();
-    let width = hi - lo;
-    let classes = tables.len();
-    let mut maxima = vec![f64::NEG_INFINITY; horizon];
-    let mut candidates: Vec<Vec<(u32, f64)>> = vec![Vec::new(); horizon];
-    // Class-major: accs[k * width + j] is trajectory `lo + j`'s running
-    // score under class `k`, so each class advances contiguously.
-    let mut accs = vec![0.0f64; width * classes];
-    let mut scores = vec![0.0f64; width];
-    for ((t, best), slot) in (0..horizon)
-        .zip(maxima.iter_mut())
-        .zip(candidates.iter_mut())
-    {
-        let row = &observed.row(t)[lo..hi];
-        let prev_row = if t == 0 {
-            None
-        } else {
-            Some(&observed.row(t - 1)[lo..hi])
-        };
-        kernel::advance_slot_mixture(
-            tables,
-            lo,
-            row,
-            prev_row,
-            &mut accs,
-            &mut scores,
-            best,
-            slot,
-        )?;
-    }
-    Ok(light_shard_scores((lo, hi), maxima, candidates))
-}
-
-/// One shard's per-slot extraction summaries (and, for the score-matrix
-/// path, its slice of the cumulative-score matrix).
-struct ShardScores {
-    /// Trajectory index range `[lo, hi)` owned by this shard.
-    lo: usize,
-    hi: usize,
-    /// Slot-major cumulative scores for the owned range
-    /// (`block[t * (hi - lo) + (i - lo)]`); `None` on the light path.
-    block: Option<Vec<f64>>,
-    /// Per-slot maximum over the owned range.
-    maxima: Vec<f64>,
-    /// Concatenated per-slot argmax candidates `(global index, score)`,
-    /// ascending by index within a slot; slot `t` occupies
-    /// `ties[tie_starts[t]..tie_starts[t + 1]]`.
-    ties: Vec<(u32, f64)>,
-    tie_starts: Vec<usize>,
-    /// Concatenated per-slot local top-k `(index, score)` entries, best
-    /// first; empty when top-k extraction is off.
-    top: Vec<(u32, f64)>,
-    top_starts: Vec<usize>,
-}
-
-struct ShardedScores {
-    horizon: usize,
-    shards: Vec<ShardScores>,
-}
-
-/// The multi-class (mixture) shard pass behind the multi-table
-/// trajectory requests of [`BatchPrefixDetector::detect_prefixes`]: each
-/// trajectory
-/// carries one accumulator per model class, and its prefix score at slot
-/// `t` is the *maximum* accumulator — the best class explanation of the
-/// prefix. Accumulation stays per-trajectory and slot-ordered, so results
-/// are bit-for-bit independent of the shard count.
-fn shard_pass_mixture(
-    tables: &[&LogLikelihoodTable],
-    observed: &[Trajectory],
-    (lo, hi): (usize, usize),
-) -> Result<ShardScores> {
-    let horizon = observed.first().map_or(0, Trajectory::len);
-    let states = tables[0].num_states();
-    let mut maxima = vec![f64::NEG_INFINITY; horizon];
-    let mut candidates: Vec<Vec<(u32, f64)>> = vec![Vec::new(); horizon];
-    let mut accs = vec![0.0f64; tables.len()];
-    for (j, x) in observed[lo..hi].iter().enumerate() {
-        let i = service_index(lo, j);
-        accs.fill(0.0);
-        let mut prev = None;
-        for ((&cell, best), slot) in x
-            .as_slice()
-            .iter()
-            .zip(maxima.iter_mut())
-            .zip(candidates.iter_mut())
-        {
-            if cell.index() >= states {
-                return Err(crate::CoreError::CellOutOfRange {
-                    cell: cell.index(),
-                    states,
-                });
-            }
-            // Max over classes of the running per-class score; -inf
-            // accumulators are fine (impossible under every class).
-            let mut score = f64::NEG_INFINITY;
-            for (acc, table) in accs.iter_mut().zip(tables) {
-                *acc += table.step(prev, cell);
-                if *acc > score {
-                    score = *acc;
-                }
-            }
-            prev = Some(cell);
-            fold(best, slot, i, score);
-        }
-    }
-    Ok(light_shard_scores((lo, hi), maxima, candidates))
-}
-
-/// The detection-only shard pass: walks each trajectory once (unit
-/// stride), accumulating its score in a register and folding it into
-/// per-slot running max / tie-candidate trackers — no `N × T` block is
-/// ever written, and cells are range-checked on their first (and only)
-/// read instead of in a separate validation pass.
-fn shard_pass_light(
-    table: &LogLikelihoodTable,
-    observed: &[Trajectory],
-    (lo, hi): (usize, usize),
-) -> Result<ShardScores> {
-    let horizon = observed.first().map_or(0, Trajectory::len);
-    let states = table.num_states();
-    let mut maxima = vec![f64::NEG_INFINITY; horizon];
-    let mut candidates: Vec<Vec<(u32, f64)>> = vec![Vec::new(); horizon];
-
-    let shard = &observed[lo..hi];
-    // Two trajectories per iteration: their accumulators form independent
-    // floating-point dependency chains, which roughly halves the
-    // add-latency bound of this loop. Lane order (even index first)
-    // preserves ascending tie sets.
-    let mut pairs = shard.chunks_exact(2);
-    let mut j = 0usize;
-    for pair in pairs.by_ref() {
-        let ia = service_index(lo, j);
-        let ib = ia + 1;
-        let mut acc_a = 0.0f64;
-        let mut acc_b = 0.0f64;
-        let mut prev_a = None;
-        let mut prev_b = None;
-        // Zipping ties the slot trackers to the cells without bounds
-        // checks (equal lengths were validated up front).
-        for (((&cell_a, &cell_b), best), slot) in pair[0]
-            .as_slice()
-            .iter()
-            .zip(pair[1].as_slice())
-            .zip(maxima.iter_mut())
-            .zip(candidates.iter_mut())
-        {
-            // Lane a first, so within one slot the lower trajectory
-            // index reports its cell. (Across slots the paired scan can
-            // surface a different — equally invalid — cell than the
-            // sequential path: the error *variant* always matches.)
-            if cell_a.index() >= states {
-                return Err(crate::CoreError::CellOutOfRange {
-                    cell: cell_a.index(),
-                    states,
-                });
-            }
-            if cell_b.index() >= states {
-                return Err(crate::CoreError::CellOutOfRange {
-                    cell: cell_b.index(),
-                    states,
-                });
-            }
-            // -inf + -inf is fine; +inf never occurs (increments are
-            // log-probs <= 0), so no NaN can appear.
-            acc_a += table.step(prev_a, cell_a);
-            acc_b += table.step(prev_b, cell_b);
-            prev_a = Some(cell_a);
-            prev_b = Some(cell_b);
-            fold(best, slot, ia, acc_a);
-            fold(best, slot, ib, acc_b);
-        }
-        j += 2;
-    }
-    for x in pairs.remainder() {
-        let i = service_index(lo, j);
-        let mut acc = 0.0f64;
-        let mut prev = None;
-        for ((&cell, best), slot) in x
-            .as_slice()
-            .iter()
-            .zip(maxima.iter_mut())
-            .zip(candidates.iter_mut())
-        {
-            if cell.index() >= states {
-                return Err(crate::CoreError::CellOutOfRange {
-                    cell: cell.index(),
-                    states,
-                });
-            }
-            acc += table.step(prev, cell);
-            prev = Some(cell);
-            fold(best, slot, i, acc);
-        }
-        j += 1;
-    }
-    Ok(light_shard_scores((lo, hi), maxima, candidates))
-}
-
-/// The score-matrix shard pass: fills this shard's slot-major block from
-/// the columnar kernel (the increments become cumulative scores in
-/// place) and extracts per-slot candidates and top-k from each finished
-/// row.
-fn shard_pass_block(
-    table: &LogLikelihoodTable,
-    observed: &[Trajectory],
-    (lo, hi): (usize, usize),
-    top_k: usize,
-) -> Result<ShardScores> {
-    let width = hi - lo;
-    let horizon = observed.first().map_or(0, Trajectory::len);
-    let mut block = table
-        .step_log_likelihoods_batch(&observed[lo..hi])
-        .map_err(kernel::map_markov)?;
-    let mut maxima = Vec::with_capacity(horizon);
-    let mut ties = Vec::new();
-    let mut tie_starts = Vec::with_capacity(horizon + 1);
-    tie_starts.push(0);
-    let mut top = Vec::new();
-    let mut top_starts = Vec::with_capacity(horizon + 1);
-    top_starts.push(0);
-    for t in 0..horizon {
-        if t > 0 {
-            let (prev, cur) = block.split_at_mut(t * width);
-            let prev = &prev[(t - 1) * width..];
-            // -inf + -inf is fine; +inf never occurs (increments are
-            // log-probs <= 0), so no NaN can appear.
-            for (c, p) in cur[..width].iter_mut().zip(prev) {
-                *c += p;
-            }
-        }
-        let row = &block[t * width..(t + 1) * width];
-        // Exact max first, tolerance filter second — the same two-pass
-        // semantics as `argmax_set`, but over this shard's contiguous row.
-        let mut best = f64::NEG_INFINITY;
-        for &s in row {
-            if s > best {
-                best = s;
-            }
-        }
-        maxima.push(best);
-        for (j, &s) in row.iter().enumerate() {
-            if loglik_cmp(s, best).is_eq() {
-                ties.push((service_index(lo, j), s));
-            }
-        }
-        tie_starts.push(ties.len());
-        if top_k > 0 {
-            let start = top.len();
-            for (j, &s) in row.iter().enumerate() {
-                insert_top_k(&mut top, start, top_k, service_index(lo, j), s);
-            }
-        }
-        top_starts.push(top.len());
-    }
-    Ok(ShardScores {
-        lo,
-        hi,
-        block: Some(block),
-        maxima,
-        ties,
-        tie_starts,
-        top,
-        top_starts,
-    })
-}
-
-/// Inserts `(index, score)` into the slot's running top-k buffer
-/// (`buffer[start..]`), kept sorted best-first with ties broken towards
-/// the lower index. Scores are never NaN (sums of log-probabilities).
-pub(super) fn insert_top_k(
-    buffer: &mut Vec<(u32, f64)>,
-    start: usize,
-    k: usize,
-    index: u32,
-    score: f64,
-) {
-    let slot = &buffer[start..];
-    let pos = slot.partition_point(|&(i, s)| s > score || (s == score && i < index));
-    if pos >= k {
-        return;
-    }
-    buffer.insert(start + pos, (index, score));
-    if buffer.len() - start > k {
-        buffer.pop();
-    }
-}
-
-/// Merges shard-local per-slot candidates into global detections.
-///
-/// A shard candidate within tolerance of the *global* best is necessarily
-/// within tolerance of its shard-local best (local max ≤ global max), so
-/// filtering the shard candidate lists against the merged maximum loses
-/// nothing; shards are visited in index order, which keeps tie sets
-/// ascending exactly like `argmax_set`.
-fn merge_detections(scores: &ShardedScores) -> Vec<Detection> {
-    let mut out = Vec::with_capacity(scores.horizon);
-    for t in 0..scores.horizon {
-        let mut best = f64::NEG_INFINITY;
-        for shard in &scores.shards {
-            if shard.maxima[t] > best {
-                best = shard.maxima[t];
-            }
-        }
-        let mut tie_set = Vec::new();
-        for shard in &scores.shards {
-            for &(i, s) in &shard.ties[shard.tie_starts[t]..shard.tie_starts[t + 1]] {
-                if loglik_cmp(s, best).is_eq() {
-                    tie_set.push(i as usize);
-                }
-            }
-        }
-        out.push(Detection::new(tie_set));
-    }
-    out
-}
-
-/// Merges shard-local top-k lists into the global per-slot top-k ranking
-/// (indices only, best first; ties broken towards the lower index).
-fn merge_top_k(scores: &ShardedScores, k: usize) -> Vec<usize> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut out = Vec::with_capacity(scores.horizon * k);
-    let mut merged: Vec<(u32, f64)> = Vec::new();
-    for t in 0..scores.horizon {
-        merged.clear();
-        for shard in &scores.shards {
-            merged.extend_from_slice(&shard.top[shard.top_starts[t]..shard.top_starts[t + 1]]);
-        }
-        merged.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        merged.truncate(k);
-        out.extend(merged.iter().map(|&(i, _)| i as usize));
-    }
-    out
-}
-
-/// The flat `N × T` cumulative-score matrix produced by
-/// [`BatchPrefixDetector::score_prefixes`], with per-slot detections and
-/// top-k rankings extracted incrementally during the sharded pass.
-#[derive(Debug, Clone)]
-pub struct PrefixScores {
-    num_trajectories: usize,
-    horizon: usize,
-    /// Slot-major flat matrix: `scores[t * N + i]` is trajectory `i`'s
-    /// cumulative log-likelihood after slot `t`.
-    scores: Vec<f64>,
-    detections: Vec<Detection>,
-    top_k: usize,
-    /// Concatenated per-slot global top-k indices (`top_k` per slot).
-    top: Vec<usize>,
-}
-
-impl PrefixScores {
-    /// Number of trajectories `N`.
-    pub fn num_trajectories(&self) -> usize {
-        self.num_trajectories
-    }
-
-    /// Number of slots `T`.
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
-    /// All `N` cumulative scores after slot `t` (one slot-major row of the
-    /// flat matrix).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= horizon()`.
-    pub fn scores_at(&self, t: usize) -> &[f64] {
-        &self.scores[t * self.num_trajectories..(t + 1) * self.num_trajectories]
-    }
-
-    /// Trajectory `i`'s cumulative score after slot `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` or `i` is out of range.
-    pub fn score(&self, t: usize, i: usize) -> f64 {
-        assert!(i < self.num_trajectories, "trajectory index out of range");
-        self.scores[t * self.num_trajectories + i]
-    }
-
-    /// The detection (argmax tie set) at slot `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= horizon()`.
-    pub fn detection(&self, t: usize) -> &Detection {
-        &self.detections[t]
-    }
-
-    /// All per-slot detections.
-    pub fn detections(&self) -> &[Detection] {
-        &self.detections
-    }
-
-    /// Consumes the matrix, returning the per-slot detections.
-    pub fn into_detections(self) -> Vec<Detection> {
-        self.detections
-    }
-
-    /// The `k` requested at construction (clamped to `N`).
-    pub fn top_k(&self) -> usize {
-        self.top_k
-    }
-
-    /// The global top-k trajectory indices at slot `t`, best first; ties
-    /// break towards the lower index. Empty when constructed with
-    /// `top_k == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= horizon()`.
-    pub fn top_k_at(&self, t: usize) -> &[usize] {
-        assert!(t < self.horizon, "slot out of range");
-        if self.top_k == 0 {
-            return &[];
-        }
-        &self.top[t * self.top_k..(t + 1) * self.top_k]
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1093,6 +311,7 @@ mod tests {
     use crate::detector::MlDetector;
     use crate::CoreError;
     use chaff_markov::models::ModelKind;
+    use chaff_markov::MobilityRegistry;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1125,68 +344,6 @@ mod tests {
             .unwrap();
         let single = MlDetector.detect(&chain, &observed).unwrap();
         assert_eq!(batch, single);
-    }
-
-    #[test]
-    fn score_matrix_matches_prefix_log_likelihoods() {
-        let (chain, observed) = fleet(43, 17, 12);
-        let scores = BatchPrefixDetector::with_shards(3)
-            .score_prefixes(&chain, &observed, 0)
-            .unwrap();
-        assert_eq!(scores.num_trajectories(), 17);
-        assert_eq!(scores.horizon(), 12);
-        for (i, x) in observed.iter().enumerate() {
-            let prefix = chain.prefix_log_likelihoods(x);
-            for (t, &expected) in prefix.iter().enumerate() {
-                assert_eq!(
-                    scores.score(t, i).to_bits(),
-                    expected.to_bits(),
-                    "trajectory {i}, slot {t}"
-                );
-            }
-        }
-        assert_eq!(
-            scores.detections(),
-            MlDetector
-                .detect_prefixes(&chain, &observed)
-                .unwrap()
-                .as_slice()
-        );
-    }
-
-    #[test]
-    fn top_k_ranks_by_score_with_index_tie_breaks() {
-        let (chain, observed) = fleet(44, 29, 9);
-        let scores = BatchPrefixDetector::with_shards(4)
-            .score_prefixes(&chain, &observed, 5)
-            .unwrap();
-        for t in 0..scores.horizon() {
-            let top = scores.top_k_at(t);
-            assert_eq!(top.len(), 5);
-            // Reference: full sort of the slot row.
-            let row = scores.scores_at(t);
-            let mut expected: Vec<usize> = (0..row.len()).collect();
-            expected.sort_by(|&a, &b| row[b].total_cmp(&row[a]).then(a.cmp(&b)));
-            assert_eq!(top, &expected[..5], "slot {t}");
-            // The argmax is always ranked first.
-            assert_eq!(top[0], scores.detection(t).tie_set()[0]);
-        }
-    }
-
-    #[test]
-    fn top_k_is_independent_of_shard_count() {
-        let (chain, observed) = fleet(45, 41, 11);
-        let reference = BatchPrefixDetector::with_shards(1)
-            .score_prefixes(&chain, &observed, 7)
-            .unwrap();
-        for shards in [2, 5, 16] {
-            let scores = BatchPrefixDetector::with_shards(shards)
-                .score_prefixes(&chain, &observed, 7)
-                .unwrap();
-            for t in 0..scores.horizon() {
-                assert_eq!(scores.top_k_at(t), reference.top_k_at(t), "slot {t}");
-            }
-        }
     }
 
     #[test]
@@ -1230,6 +387,13 @@ mod tests {
         assert!(matches!(
             d.detect(&chain, &out),
             Err(CoreError::CellOutOfRange { .. })
+        ));
+        assert!(matches!(
+            d.detect_prefixes(DetectInput::new(&chain, &out)),
+            Err(CoreError::CellOutOfRange {
+                cell: 999,
+                states: 10
+            })
         ));
     }
 
@@ -1303,34 +467,54 @@ mod tests {
         }
     }
 
+    /// Runs `model` over the trajectory, columnar and paged forms of one
+    /// observation set (`grid` is `observed` transposed).
+    fn every_form(
+        d: BatchPrefixDetector,
+        model: DetectModel<'_>,
+        observed: &[Trajectory],
+        grid: &CellGrid,
+    ) -> [Result<Vec<Detection>>; 3] {
+        [
+            d.detect_prefixes(DetectInput::new(model, observed)),
+            d.detect_prefixes(DetectInput::new(model, grid)),
+            d.detect_prefixes(DetectInput::new(model, &mut GridRowSource::new(grid))),
+        ]
+    }
+
     #[test]
     fn mixture_rejects_empty_and_mismatched_tables() {
         let (chain, observed) = fleet(53, 4, 6);
+        let grid = CellGrid::from_trajectories(&observed).unwrap();
         let d = BatchPrefixDetector::new();
         let no_tables: &[&LogLikelihoodTable] = &[];
-        assert!(matches!(
-            d.detect_prefixes(DetectInput::new(no_tables, &observed)),
-            Err(CoreError::Markov(chaff_markov::MarkovError::Empty))
-        ));
+        for result in every_form(d, DetectModel::Tables(no_tables), &observed, &grid) {
+            assert!(matches!(
+                result,
+                Err(CoreError::Markov(chaff_markov::MarkovError::Empty))
+            ));
+        }
         let table = chain.log_likelihood_table();
         let mut rng = StdRng::seed_from_u64(54);
         let other = MarkovChain::new(ModelKind::NonSkewed.build(7, &mut rng).unwrap()).unwrap();
         let small = other.log_likelihood_table();
-        assert!(matches!(
-            d.detect_prefixes(DetectInput::new(&[&table, &small], &observed)),
-            Err(CoreError::Markov(
-                chaff_markov::MarkovError::DimensionMismatch {
-                    expected: 10,
-                    found: 7
-                }
-            ))
-        ));
+        let mismatched = [&table, &small];
+        for result in every_form(d, DetectModel::Tables(&mismatched), &observed, &grid) {
+            assert!(matches!(
+                result,
+                Err(CoreError::Markov(
+                    chaff_markov::MarkovError::DimensionMismatch {
+                        expected: 10,
+                        found: 7
+                    }
+                ))
+            ));
+        }
         // Shape errors match the single-table path.
-        let none: &[Trajectory] = &[];
-        assert!(matches!(
-            d.detect_prefixes(DetectInput::new(&[&table, &table], none)),
-            Err(CoreError::NoTrajectories)
-        ));
+        let pair = [&table, &table];
+        for result in every_form(d, DetectModel::Tables(&pair), &[], &CellGrid::new(0)) {
+            assert!(matches!(result, Err(CoreError::NoTrajectories)));
+        }
     }
 
     #[test]
@@ -1626,8 +810,8 @@ mod tests {
         )
         .unwrap();
         let grid = CellGrid::from_trajectories(&observed).unwrap();
-        let mut online = super::super::StreamingPrefixDetector::with_schedule(
-            registry.to_epoch_tables(),
+        let mut online = StreamingPrefixDetector::with_schedule(
+            vec![registry.tables_at(0), registry.tables_at(1)],
             schedule,
             grid.num_trajectories(),
             1,

@@ -1,22 +1,21 @@
 //! The unified detection input: one entry point over every model and
 //! observation representation.
 //!
-//! [`BatchPrefixDetector`](super::BatchPrefixDetector) historically grew
-//! one `detect_prefixes*` method per *(model, observations)* pairing —
-//! six near-identical signatures whose call sites had to be rewritten
-//! every time a new representation (columnar grids, then paged stores)
-//! arrived. [`DetectInput`] collapses that matrix: callers name the
-//! model once ([`DetectModel`]), the observations once
-//! ([`DetectObservations`]), and
-//! [`detect_prefixes`](super::BatchPrefixDetector::detect_prefixes)
-//! dispatches internally. Every combination produces bit-for-bit
-//! identical detections to the dedicated legacy entry points this type
-//! replaced.
+//! [`DetectInput`] pairs the mobility knowledge ([`DetectModel`]: chain,
+//! table, per-class tables, registry, or a registry with its epoch
+//! schedule) with the observations ([`DetectObservations`]: trajectories,
+//! a columnar grid, or a paged [`SlotRowSource`]), and
+//! [`detect_prefixes`](super::BatchPrefixDetector::detect_prefixes) is
+//! the one entry that takes it. There is no per-pairing execution plan:
+//! every model becomes per-epoch class tables, every observation form
+//! becomes a [`SlotRowSource`] (trajectories are transposed once, grids
+//! are lent through [`GridRowSource`]), and one row-drive loop pushes the
+//! rows through the online detector. Every combination therefore
+//! produces bit-for-bit identical detections.
 //!
-//! The third observation form, [`DetectObservations::Paged`], is the
-//! fleet-store path: a [`SlotRowSource`] lends one slot-major observed
-//! row at a time (e.g. `chaff_store::SlotStream` paging rows off disk),
-//! and detection runs through the online kernel in `O(N)` state —
+//! The paged form is the fleet-store path: a [`SlotRowSource`] lends one
+//! slot-major observed row at a time (e.g. `chaff_store::SlotStream`
+//! paging rows off disk), and detection runs in `O(N)` state —
 //! populations larger than RAM never materialize a grid.
 
 use chaff_markov::{
@@ -31,7 +30,7 @@ use chaff_markov::{
 /// [`horizon`](Self::horizon) rows of exactly
 /// [`num_trajectories`](Self::num_trajectories) cells each, in slot
 /// order, then `Ok(None)` forever. A source that stops early or runs
-/// long makes the paged detection path fail with
+/// long makes detection fail with
 /// [`CoreError::RowSource`](crate::CoreError::RowSource); a source may
 /// also surface its own faults (I/O errors, checksum mismatches) as
 /// that same variant.
@@ -50,6 +49,20 @@ pub trait SlotRowSource {
     /// Returns [`CoreError::RowSource`](crate::CoreError::RowSource)
     /// when the backing medium fails to produce the row.
     fn next_row(&mut self) -> crate::Result<Option<&[CellId]>>;
+
+    /// Lends the next block of whole slot rows — `k ≥ 1` consecutive
+    /// rows, slot-major and contiguous (`k · N` cells) — or `Ok(None)`
+    /// once the horizon is exhausted. The default lends one row through
+    /// [`next_row`](Self::next_row); a source holding several rows in
+    /// memory lends them at once, so detection dispatches onto the
+    /// worker pool once per block instead of once per row.
+    ///
+    /// # Errors
+    ///
+    /// As [`next_row`](Self::next_row).
+    fn next_rows(&mut self) -> crate::Result<Option<&[CellId]>> {
+        self.next_row()
+    }
 }
 
 /// The mobility knowledge the eavesdropper scores against.
@@ -247,9 +260,11 @@ impl<'a> From<&'a mut dyn SlotRowSource> for DetectObservations<'a> {
 }
 
 /// In-memory [`SlotRowSource`] over a [`CellGrid`]: lends the grid's
-/// slot rows in order. Exists so the paged detection path can be
-/// exercised (and differentially tested) without a disk-backed store,
-/// and as the reference implementation of the source contract.
+/// slot rows in order, one at a time or — through
+/// [`next_rows`](SlotRowSource::next_rows) — all remaining rows as one
+/// block. The batch entry feeds columnar (and transposed trajectory)
+/// observations through it, and it is the reference implementation of
+/// the source contract.
 #[derive(Debug)]
 pub struct GridRowSource<'a> {
     grid: &'a CellGrid,
@@ -280,6 +295,15 @@ impl SlotRowSource for GridRowSource<'_> {
         self.next += 1;
         Ok(Some(row))
     }
+
+    fn next_rows(&mut self) -> crate::Result<Option<&[CellId]>> {
+        if self.next >= self.grid.horizon() {
+            return Ok(None);
+        }
+        let rest = &self.grid.as_cells()[self.next * self.grid.num_trajectories()..];
+        self.next = self.grid.horizon();
+        Ok(Some(rest))
+    }
 }
 
 #[cfg(test)]
@@ -304,6 +328,12 @@ mod tests {
             assert_eq!(source.next_row().unwrap().unwrap(), grid.row(t));
         }
         assert!(source.next_row().unwrap().is_none());
+        assert!(source.next_row().unwrap().is_none());
+        // Blocks: every remaining row at once, then none.
+        let mut source = GridRowSource::new(&grid);
+        assert_eq!(source.next_row().unwrap().unwrap(), grid.row(0));
+        assert_eq!(source.next_rows().unwrap().unwrap(), &grid.as_cells()[5..]);
+        assert!(source.next_rows().unwrap().is_none());
         assert!(source.next_row().unwrap().is_none());
     }
 

@@ -1,5 +1,7 @@
-//! The vectorized per-slot detection kernels shared by the batch and
-//! streaming detectors.
+//! The vectorized per-slot detection kernels, run by one caller,
+//! [`StreamingPrefixDetector`](super::StreamingPrefixDetector) (which
+//! [`BatchPrefixDetector`](super::BatchPrefixDetector) runs for every
+//! request).
 //!
 //! One slot of fleet-scale ML detection is three phases over a shard's
 //! contiguous lane block:
@@ -141,10 +143,10 @@ pub fn collect_ties(scores: &[f64], lo: usize, best: f64, out: &mut Vec<(u32, f6
 /// refreshed scores pass through the two-pass running-max + tie-collection
 /// argmax into `best` / `slot`.
 ///
-/// This is *the* per-slot inner loop of the batch columnar pass, shared
-/// verbatim with [`StreamingPrefixDetector`](super::StreamingPrefixDetector)
-/// so the online path is bit-for-bit the batch path by construction. The
-/// phases and the bit-for-bit argument are in the [module docs](self).
+/// This is *the* per-slot inner loop of single-class detection, run by
+/// [`StreamingPrefixDetector`](super::StreamingPrefixDetector) for every
+/// stationary or scheduled, streamed or batch request. The phases and the
+/// bit-for-bit argument are in the [module docs](self).
 ///
 /// # Errors
 ///
@@ -184,9 +186,8 @@ pub fn advance_slot_single(
 /// class fold, legacy comparison order) and passed through the same
 /// two-pass argmax as the single-table kernel.
 ///
-/// Shared between the batch mixture pass and
-/// [`StreamingPrefixDetector`](super::StreamingPrefixDetector), exactly
-/// like [`advance_slot_single`].
+/// Run by [`StreamingPrefixDetector`](super::StreamingPrefixDetector)
+/// for every multi-class request, exactly like [`advance_slot_single`].
 ///
 /// # Errors
 ///
@@ -231,10 +232,9 @@ pub fn advance_slot_mixture<T: Borrow<LogLikelihoodTable>>(
 }
 
 /// Folds one cumulative score into a slot's running max / tie trackers —
-/// the legacy scalar argmax, kept for the per-trajectory shard passes and
-/// as the differential reference for the two-pass kernels. Calls must
-/// arrive in increasing trajectory index per slot so tie sets stay
-/// ascending.
+/// the legacy scalar argmax, kept as the differential reference for the
+/// two-pass kernels. Calls must arrive in increasing trajectory index
+/// per slot so tie sets stay ascending.
 ///
 /// The running tie tracking is equivalent to `argmax_set`'s two-pass
 /// (exact max, then tolerance filter): the running max only grows, so a

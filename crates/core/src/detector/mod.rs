@@ -18,13 +18,15 @@
 //!
 //! Both forms sit behind the shared [`Detector`] trait; the fleet engine
 //! swaps in [`BatchPrefixDetector`], which computes identical detections
-//! from a cached likelihood table in parallel shards (see [`batch`]).
+//! from cached likelihood tables in parallel shards (see [`batch`]).
 //! Fleet-scale call sites use the batched detector's unified entry
 //! directly: [`BatchPrefixDetector::detect_prefixes`] takes one
 //! [`DetectInput`] covering every model representation (chain, table,
-//! per-class tables, registry) crossed with every observation
-//! representation (trajectories, columnar grid, paged [`SlotRowSource`]
-//! stream — see [`input`]).
+//! per-class tables, registry, epoch schedule) crossed with every
+//! observation representation (trajectories, columnar grid, paged
+//! [`SlotRowSource`] stream — see [`input`]), and drives each request's
+//! slot rows through the online [`StreamingPrefixDetector`] (see
+//! [`streaming`]).
 //!
 //! Ties are returned explicitly as the full argmax set; accuracy metrics
 //! average over the set, which equals the expectation over the paper's
@@ -38,7 +40,7 @@ mod ml;
 pub mod streaming;
 
 pub use advanced::AdvancedDetector;
-pub use batch::{BatchPrefixDetector, PrefixScores, MAX_POPULATION};
+pub use batch::{BatchPrefixDetector, MAX_POPULATION};
 pub use input::{DetectInput, DetectModel, DetectObservations, GridRowSource, SlotRowSource};
 pub use ml::MlDetector;
 pub use streaming::{AccuracyFeedback, StreamingPrefixDetector};

@@ -1,32 +1,34 @@
-//! Online (slot-at-a-time) prefix detection over a columnar stream.
+//! Online (slot-at-a-time) prefix detection: the one detection loop.
 //!
-//! [`BatchPrefixDetector`](super::BatchPrefixDetector) consumes a finished
-//! [`CellGrid`](chaff_markov::CellGrid): the whole fleet must be simulated
-//! before the first detection. The paper's eavesdropper (eq. 11) is
-//! inherently online — it observes one service row per slot and tracks in
-//! real time. [`StreamingPrefixDetector`] is that adversary: feed it one
+//! The paper's eavesdropper (eq. 11) is inherently online — it observes
+//! one service row per slot and re-ranks the prefix likelihoods in real
+//! time. [`StreamingPrefixDetector`] is that adversary: feed it one
 //! observation row per slot ([`push_slot`](StreamingPrefixDetector::push_slot))
 //! and it returns the slot's [`Detection`] immediately, carrying only the
 //! running cumulative-score state between slots.
 //!
-//! Both paths share one per-slot kernel
+//! It is also the only caller of the per-slot kernels
 //! ([`advance_slot_single`](super::kernel::advance_slot_single) /
 //! [`advance_slot_mixture`](super::kernel::advance_slot_mixture) in
-//! [`kernel`]), so a streamed run is bit-for-bit the batch
-//! run *by construction*: the same accumulator updates in the same order,
-//! the same two-pass argmax over the refreshed scores, the same
-//! cross-shard merge semantics. Multi-shard pushes dispatch onto the
-//! process-wide [`pool`] — a per-slot push never spawns an
-//! OS thread.
+//! [`kernel`]): [`BatchPrefixDetector::detect_prefixes`](super::BatchPrefixDetector::detect_prefixes)
+//! turns every request into slot rows and pushes them through this type,
+//! so a streamed run is bit-for-bit the batch run *by construction*.
+//! Multi-shard pushes dispatch onto the process-wide [`pool`] — a push
+//! never spawns an OS thread. A pool dispatch costs about a worker
+//! wake-up, so [`push_slots`](StreamingPrefixDetector::push_slots)
+//! takes a block of rows per dispatch: batch detection pushes a whole
+//! in-memory grid at once, and each shard runs the whole horizon in one
+//! job.
 //!
-//! State is `O(N · classes)` — independent of the horizon. The batch
-//! path's per-shard maxima/tie concatenations (sized by the horizon)
-//! never exist here; each slot's candidates are merged and discarded
-//! before the next row arrives.
+//! State is `O(N · classes)` — independent of the horizon: each slot's
+//! candidates are merged and discarded before the next row arrives. The
+//! tables are held as any `T: Borrow<LogLikelihoodTable> + Sync`: long-lived
+//! engines own them (the default), the batch entry borrows the caller's.
 
 use super::{batch, kernel, Detection};
 use crate::{loglik_cmp, pool, Result};
 use chaff_markov::{CellId, EpochSchedule, LogLikelihoodTable};
+use std::borrow::Borrow;
 
 /// Running per-column detection-accuracy feedback, accumulated from the
 /// tie set of every slot with no extra pass over the scores: column `i`
@@ -130,7 +132,12 @@ impl AccuracyFeedback {
 /// pushed slot row, bit-for-bit equal to
 /// [`BatchPrefixDetector::detect_prefixes`](super::BatchPrefixDetector::detect_prefixes)
 /// over the columnar grid formed by the pushed rows, for every shard
-/// count.
+/// count (the batch entry runs this detector).
+///
+/// `T` is how the class tables are held: owned
+/// [`LogLikelihoodTable`]s by default, or borrowed (`&LogLikelihoodTable`)
+/// through [`with_schedule`](Self::with_schedule) when the caller keeps
+/// the model alive for the detector's lifetime.
 ///
 /// # Example
 ///
@@ -154,13 +161,12 @@ impl AccuracyFeedback {
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct StreamingPrefixDetector {
+pub struct StreamingPrefixDetector<T = LogLikelihoodTable> {
     /// Epoch-major table storage: `epoch_tables[epoch]` holds one table
     /// per mobility-model class (generalized-likelihood-ratio detection:
     /// best class per prefix). Stationary detectors hold exactly one
-    /// epoch. Owned, so the detector can be embedded in long-lived
-    /// engines without borrowing the model.
-    epoch_tables: Vec<Vec<LogLikelihoodTable>>,
+    /// epoch.
+    epoch_tables: Vec<Vec<T>>,
     /// The slot → epoch map; `slots_seen` is the epoch clock, so the
     /// tables scoring the arrival at slot `s` are
     /// `epoch_tables[schedule.epoch_of(s)]`.
@@ -199,14 +205,21 @@ struct ShardLane {
     /// only; empty — and unused — for single-class layouts, where `accs`
     /// already *is* the per-trajectory score row).
     scores: Vec<f64>,
-    /// The slot's shard-local exact maximum (reset every push).
-    best: f64,
-    /// Argmax candidates `(global index, score)`, ascending by index
-    /// (reset every push, capacity retained).
-    candidates: Vec<(u32, f64)>,
-    /// Shard-local top-k `(index, score)`, best first (reset every push,
-    /// capacity retained).
+    /// One argmax summary per row of the most recent push (reset every
+    /// push, capacity retained).
+    slots: Vec<SlotTies>,
+    /// Shard-local top-k `(index, score)` of the most recent row, best
+    /// first (reset every push, capacity retained).
     top: Vec<(u32, f64)>,
+}
+
+/// One slot's shard-local argmax summary.
+#[derive(Debug, Clone, Default)]
+struct SlotTies {
+    /// The slot's shard-local exact maximum.
+    best: f64,
+    /// Argmax candidates `(global index, score)`, ascending by index.
+    candidates: Vec<(u32, f64)>,
 }
 
 impl StreamingPrefixDetector {
@@ -250,7 +263,9 @@ impl StreamingPrefixDetector {
             shards,
         )
     }
+}
 
+impl<T: Borrow<LogLikelihoodTable> + Sync> StreamingPrefixDetector<T> {
     /// Creates a schedule-aware detector: `epoch_tables[epoch]` holds one
     /// table per mobility-model class, and the arrival at pushed slot `s`
     /// is scored under `epoch_tables[schedule.epoch_of(s)]`. A one-epoch
@@ -264,7 +279,7 @@ impl StreamingPrefixDetector {
     /// when `epoch_tables` does not cover `schedule.num_epochs()` or the
     /// epochs disagree on the class count.
     pub fn with_schedule(
-        epoch_tables: Vec<Vec<LogLikelihoodTable>>,
+        epoch_tables: Vec<Vec<T>>,
         schedule: EpochSchedule,
         population: usize,
         shards: usize,
@@ -274,7 +289,8 @@ impl StreamingPrefixDetector {
             .ok_or(crate::CoreError::Markov(chaff_markov::MarkovError::Empty))?;
         let first = first_epoch
             .first()
-            .ok_or(crate::CoreError::Markov(chaff_markov::MarkovError::Empty))?;
+            .ok_or(crate::CoreError::Markov(chaff_markov::MarkovError::Empty))?
+            .borrow();
         if epoch_tables.len() != schedule.num_epochs() {
             return Err(crate::CoreError::Markov(
                 chaff_markov::MarkovError::LengthMismatch {
@@ -295,6 +311,7 @@ impl StreamingPrefixDetector {
                 ));
             }
             for table in tables {
+                let table = table.borrow();
                 if table.num_states() != states {
                     return Err(crate::CoreError::Markov(
                         chaff_markov::MarkovError::DimensionMismatch {
@@ -309,8 +326,8 @@ impl StreamingPrefixDetector {
             return Err(crate::CoreError::NoTrajectories);
         }
         batch::ensure_population_fits(population)?;
-        // The same contiguous chunking as the batch scaffold, so each
-        // trajectory's accumulator lives on exactly one shard.
+        // Contiguous index chunks, so each trajectory's accumulator
+        // lives on exactly one shard.
         let shards = shards.max(1).clamp(1, population);
         let chunk = population.div_ceil(shards);
         let lanes = (0..shards)
@@ -325,8 +342,7 @@ impl StreamingPrefixDetector {
                 } else {
                     Vec::new()
                 },
-                best: f64::NEG_INFINITY,
-                candidates: Vec::new(),
+                slots: Vec::new(),
                 top: Vec::new(),
             })
             .collect();
@@ -415,7 +431,8 @@ impl StreamingPrefixDetector {
 
     /// The most recent slot's global top-k service indices, best first
     /// (ties towards the lower index); empty before the first push or
-    /// when top-k is disabled.
+    /// when top-k is disabled. After [`push_slots`](Self::push_slots)
+    /// this is the block's last slot.
     pub fn last_top_k(&self) -> &[usize] {
         &self.last_top
     }
@@ -442,63 +459,115 @@ impl StreamingPrefixDetector {
                 found: row.len(),
             });
         }
-        // Full-row range check up front: the shared kernels check again
-        // (they are the batch inner loop, verbatim), but by then half the
+        let mut detections = self.push_slots(row)?;
+        Ok(detections
+            .pop()
+            .expect("one pushed row yields one detection"))
+    }
+
+    /// Consumes a block of consecutive slot rows and returns one
+    /// detection per row: `rows` holds `k ≥ 1` whole rows, slot-major
+    /// (`rows[r * N + i]` is service `i` at the block's `r`-th slot).
+    /// The detections are exactly those of `k` calls to
+    /// [`push_slot`](Self::push_slot), but each shard advances through
+    /// the whole block in one worker-pool job, so a block pays one pool
+    /// dispatch instead of `k`. Batch detection pushes an in-memory grid
+    /// as a single block.
+    ///
+    /// The whole block is validated before any accumulator is touched,
+    /// so a failed push leaves the detector exactly as it was.
+    ///
+    /// # Errors
+    ///
+    /// Returns
+    /// [`CoreError::LengthMismatch`](crate::CoreError::LengthMismatch)
+    /// (`expected` = the population, `found` = `rows.len()`) when `rows`
+    /// is not a positive whole number of rows, and
+    /// [`CoreError::CellOutOfRange`](crate::CoreError::CellOutOfRange)
+    /// when any cell falls outside the model's state space.
+    pub fn push_slots(&mut self, rows: &[CellId]) -> Result<Vec<Detection>> {
+        let n = self.population;
+        if rows.is_empty() || rows.len() % n != 0 {
+            return Err(crate::CoreError::LengthMismatch {
+                expected: n,
+                found: rows.len(),
+            });
+        }
+        // Full-block range check up front: the shared kernels check again
+        // (they are the inner loop, verbatim), but by then half the
         // accumulators could have advanced — this pass makes failure
-        // atomic.
-        for &cell in row {
-            if cell.index() >= self.states {
+        // atomic. The `u32` max scan has no early exit, so it vectorizes;
+        // only a failure re-scans for the first bad cell.
+        let highest = rows.iter().copied().max();
+        if highest.is_some_and(|cell| cell.index() >= self.states) {
+            if let Some(cell) = rows.iter().find(|cell| cell.index() >= self.states) {
                 return Err(crate::CoreError::CellOutOfRange {
                     cell: cell.index(),
                     states: self.states,
                 });
             }
         }
+        let k = rows.len() / n;
         let prev = if self.slots_seen == 0 {
             None
         } else {
             Some(self.prev_row.as_slice())
         };
-        // The epoch clock is the slot counter: the arrival at slot
-        // `slots_seen` is scored under that slot's epoch tables. A
-        // stationary schedule always selects epoch 0.
-        let tables = self.epoch_tables[self.schedule.epoch_of(self.slots_seen)].as_slice();
+        // The epoch clock is the slot counter: the arrival at slot `s` is
+        // scored under that slot's epoch tables. A stationary schedule
+        // always selects epoch 0.
+        let row_tables: Vec<&[T]> = (self.slots_seen..self.slots_seen + k)
+            .map(|slot| self.epoch_tables[self.schedule.epoch_of(slot)].as_slice())
+            .collect();
         let top_k = self.top_k;
         if self.lanes.len() <= 1 {
             for lane in self.lanes.iter_mut() {
-                advance_lane(tables, lane, row, prev, top_k)?;
+                advance_lane(&row_tables, lane, rows, prev, top_k)?;
             }
         } else {
             // Dispatch the shard passes onto the process-wide worker pool
             // (no per-push thread spawns); the pool scope re-raises shard
             // panics lowest index first, and errors are collected in
-            // shard order — the batch scaffold's semantics.
-            let mut slots: Vec<Option<Result<()>>> = self.lanes.iter().map(|_| None).collect();
+            // shard order, so the lowest failing shard's error wins.
+            let row_tables = &row_tables;
+            let mut results: Vec<Option<Result<()>>> = self.lanes.iter().map(|_| None).collect();
             pool::global().scope(|scope| {
-                for (lane, slot) in self.lanes.iter_mut().zip(slots.iter_mut()) {
-                    scope.spawn(move || *slot = Some(advance_lane(tables, lane, row, prev, top_k)));
+                for (lane, result) in self.lanes.iter_mut().zip(results.iter_mut()) {
+                    scope.spawn(move || {
+                        *result = Some(advance_lane(row_tables, lane, rows, prev, top_k));
+                    });
                 }
             });
-            for slot in slots {
-                slot.expect("pool scope ran every shard lane")?;
+            for result in results {
+                result.expect("pool scope ran every shard lane")?;
             }
         }
-        // Cross-shard merge: exact global max first, tolerance filter
-        // second, shards visited in index order — `merge_detections` for
-        // a single slot.
-        let mut best = f64::NEG_INFINITY;
-        for lane in &self.lanes {
-            if lane.best > best {
-                best = lane.best;
-            }
-        }
-        let mut tie_set = Vec::new();
-        for lane in &self.lanes {
-            for &(i, s) in &lane.candidates {
-                if loglik_cmp(s, best).is_eq() {
-                    tie_set.push(i as usize);
+        // Cross-shard merge, slot by slot: exact global max first,
+        // tolerance filter second, shards visited in index order. A
+        // candidate within tolerance of the global max is within
+        // tolerance of its shard's max (shard max <= global max), so
+        // filtering the shard lists loses nothing, and the tie set stays
+        // ascending.
+        let mut detections = Vec::with_capacity(k);
+        for r in 0..k {
+            let mut best = f64::NEG_INFINITY;
+            for lane in &self.lanes {
+                if lane.slots[r].best > best {
+                    best = lane.slots[r].best;
                 }
             }
+            let mut tie_set = Vec::new();
+            for lane in &self.lanes {
+                for &(i, s) in &lane.slots[r].candidates {
+                    if loglik_cmp(s, best).is_eq() {
+                        tie_set.push(i as usize);
+                    }
+                }
+            }
+            if let Some(feedback) = &mut self.feedback {
+                feedback.record_tie_set(&tie_set);
+            }
+            detections.push(Detection::new(tie_set));
         }
         if self.top_k > 0 {
             let mut merged: Vec<(u32, f64)> = Vec::new();
@@ -511,68 +580,76 @@ impl StreamingPrefixDetector {
             self.last_top
                 .extend(merged.iter().map(|&(i, _)| i as usize));
         }
-        if let Some(feedback) = &mut self.feedback {
-            feedback.record_tie_set(&tie_set);
-        }
         self.prev_row.clear();
-        self.prev_row.extend_from_slice(row);
-        self.slots_seen += 1;
-        Ok(Detection::new(tie_set))
+        self.prev_row.extend_from_slice(&rows[(k - 1) * n..]);
+        self.slots_seen += k;
+        Ok(detections)
     }
 }
 
-/// Advances one shard by one slot through the shared vectorized kernel
-/// and extracts the slot's argmax candidates (and optional top-k) from
-/// the refreshed accumulators into the lane's reusable scratch.
-fn advance_lane(
-    tables: &[LogLikelihoodTable],
+/// Advances one shard through a block of rows (`row_tables[r]` scores
+/// row `r`) with the shared vectorized kernel, recording each row's
+/// argmax candidates — and the last row's optional top-k — in the lane's
+/// reusable scratch.
+fn advance_lane<T: Borrow<LogLikelihoodTable>>(
+    row_tables: &[&[T]],
     lane: &mut ShardLane,
-    row: &[CellId],
+    rows: &[CellId],
     prev: Option<&[CellId]>,
     top_k: usize,
 ) -> Result<()> {
-    lane.best = f64::NEG_INFINITY;
-    lane.candidates.clear();
-    lane.top.clear();
-    let shard_row = &row[lane.lo..lane.hi];
-    let shard_prev = prev.map(|p| &p[lane.lo..lane.hi]);
-    // Dispatch exactly like the batch entry point: one table runs the
-    // single-table kernel, several run the mixture kernel.
-    if tables.len() == 1 {
-        kernel::advance_slot_single(
-            &tables[0],
-            lane.lo,
-            shard_row,
-            shard_prev,
-            &mut lane.accs,
-            &mut lane.best,
-            &mut lane.candidates,
-        )?;
-    } else {
-        kernel::advance_slot_mixture(
-            tables,
-            lane.lo,
-            shard_row,
-            shard_prev,
-            &mut lane.accs,
-            &mut lane.scores,
-            &mut lane.best,
-            &mut lane.candidates,
-        )?;
+    let n = rows.len() / row_tables.len();
+    if lane.slots.len() < row_tables.len() {
+        lane.slots.resize_with(row_tables.len(), SlotTies::default);
     }
+    let mut shard_prev = prev.map(|p| &p[lane.lo..lane.hi]);
+    for ((&tables, row), slot) in row_tables
+        .iter()
+        .zip(rows.chunks_exact(n))
+        .zip(lane.slots.iter_mut())
+    {
+        slot.best = f64::NEG_INFINITY;
+        slot.candidates.clear();
+        let shard_row = &row[lane.lo..lane.hi];
+        // One table runs the single-table kernel, several run the
+        // mixture kernel.
+        if tables.len() == 1 {
+            kernel::advance_slot_single(
+                tables[0].borrow(),
+                lane.lo,
+                shard_row,
+                shard_prev,
+                &mut lane.accs,
+                &mut slot.best,
+                &mut slot.candidates,
+            )?;
+        } else {
+            kernel::advance_slot_mixture(
+                tables,
+                lane.lo,
+                shard_row,
+                shard_prev,
+                &mut lane.accs,
+                &mut lane.scores,
+                &mut slot.best,
+                &mut slot.candidates,
+            )?;
+        }
+        shard_prev = Some(shard_row);
+    }
+    lane.top.clear();
     if top_k > 0 {
-        // The per-trajectory score row the kernel just refreshed: the
+        // The per-trajectory score row the kernel refreshed last: the
         // accumulators themselves for one class, the materialized
         // best-class row for a mixture.
-        let scores = if tables.len() == 1 {
+        let scores = if lane.scores.is_empty() {
             &lane.accs
         } else {
             &lane.scores
         };
         for (j, &score) in scores.iter().enumerate() {
-            batch::insert_top_k(
+            insert_top_k(
                 &mut lane.top,
-                0,
                 top_k,
                 batch::service_index(lane.lo, j),
                 score,
@@ -580,6 +657,20 @@ fn advance_lane(
         }
     }
     Ok(())
+}
+
+/// Inserts `(index, score)` into a running top-k buffer kept sorted
+/// best-first with ties broken towards the lower index. Scores are never
+/// NaN (sums of log-probabilities).
+fn insert_top_k(buffer: &mut Vec<(u32, f64)>, k: usize, index: u32, score: f64) {
+    let pos = buffer.partition_point(|&(i, s)| s > score || (s == score && i < index));
+    if pos >= k {
+        return;
+    }
+    buffer.insert(pos, (index, score));
+    if buffer.len() > k {
+        buffer.pop();
+    }
 }
 
 #[cfg(test)]
@@ -632,6 +723,18 @@ mod tests {
                 assert_eq!(&detection, expected, "slot {t}, shards {shards}");
             }
             assert_eq!(online.slots_seen(), grid.horizon());
+            // One row, then the rest as one block mid-stream.
+            let mut blocked = StreamingPrefixDetector::with_shards(
+                vec![chain.log_likelihood_table()],
+                grid.num_trajectories(),
+                shards,
+            )
+            .unwrap();
+            let mut detections = vec![blocked.push_slot(grid.row(0)).unwrap()];
+            let rest = &grid.as_cells()[grid.num_trajectories()..];
+            detections.extend(blocked.push_slots(rest).unwrap());
+            assert_eq!(detections, reference, "blocks, shards {shards}");
+            assert_eq!(blocked.slots_seen(), grid.horizon());
         }
     }
 
@@ -658,22 +761,38 @@ mod tests {
 
     #[test]
     fn streamed_top_k_matches_the_batch_ranking() {
-        let (chain, grid) = fleet(63, 29, 9);
-        let observed = grid.to_trajectories();
-        let scores = BatchPrefixDetector::with_shards(4)
-            .score_prefixes(&chain, &observed, 5)
-            .unwrap();
-        let mut online = StreamingPrefixDetector::with_shards(
-            vec![chain.log_likelihood_table()],
-            grid.num_trajectories(),
-            3,
-        )
-        .unwrap()
-        .with_top_k(5);
-        assert!(online.last_top_k().is_empty());
-        for t in 0..grid.horizon() {
-            online.push_slot(grid.row(t)).unwrap();
-            assert_eq!(online.last_top_k(), scores.top_k_at(t), "slot {t}");
+        // Reference from first principles: every trajectory's prefix
+        // log-likelihoods under the chain, fully sorted per slot, best
+        // first, lower index on ties.
+        let (chain, grid) = fleet(63, 41, 11);
+        let prefixes: Vec<Vec<f64>> = grid
+            .to_trajectories()
+            .iter()
+            .map(|x| chain.prefix_log_likelihoods(x))
+            .collect();
+        let ranking = |t: usize| {
+            let mut order: Vec<usize> = (0..prefixes.len()).collect();
+            order.sort_by(|&a, &b| prefixes[b][t].total_cmp(&prefixes[a][t]).then(a.cmp(&b)));
+            order
+        };
+        for k in [5, 7] {
+            for shards in [1, 2, 5, 16] {
+                let mut online = StreamingPrefixDetector::with_shards(
+                    vec![chain.log_likelihood_table()],
+                    grid.num_trajectories(),
+                    shards,
+                )
+                .unwrap()
+                .with_top_k(k);
+                assert!(online.last_top_k().is_empty());
+                for t in 0..grid.horizon() {
+                    let detection = online.push_slot(grid.row(t)).unwrap();
+                    let top = online.last_top_k();
+                    assert_eq!(top, &ranking(t)[..k], "k {k}, shards {shards}, slot {t}");
+                    // The argmax is always ranked first.
+                    assert_eq!(top[0], detection.tie_set()[0], "slot {t}");
+                }
+            }
         }
     }
 
@@ -884,7 +1003,7 @@ mod tests {
         ));
         assert!(matches!(
             StreamingPrefixDetector::with_schedule(
-                vec![Vec::new()],
+                vec![Vec::<LogLikelihoodTable>::new()],
                 EpochSchedule::stationary(),
                 4,
                 1
@@ -942,6 +1061,20 @@ mod tests {
             assert!(matches!(
                 poked.push_slot(&bad_row),
                 Err(CoreError::CellOutOfRange { cell: 999, .. })
+            ));
+            // ...as do blocks with a bad last row or a partial row...
+            let mut bad_block = grid.row(t).to_vec();
+            bad_block.extend_from_slice(&bad_row);
+            assert!(matches!(
+                poked.push_slots(&bad_block),
+                Err(CoreError::CellOutOfRange { cell: 999, .. })
+            ));
+            assert!(matches!(
+                poked.push_slots(&bad_block[..18]),
+                Err(CoreError::LengthMismatch {
+                    expected: 12,
+                    found: 18
+                })
             ));
             // ...without perturbing the stream: both detectors keep
             // producing identical detections.

@@ -72,6 +72,7 @@ pub mod likelihood;
 pub mod metrics;
 pub mod pool;
 pub mod strategy;
+pub mod temp;
 pub mod theory;
 pub mod trellis;
 

@@ -28,6 +28,7 @@
 use super::SyntheticConfig;
 use crate::report::Table;
 use chaff_core::detector::{BatchPrefixDetector, DetectInput, Detection};
+use chaff_core::temp::TempPath;
 use chaff_markov::MobilityRegistry;
 use chaff_sim::fleet::{FleetChaffPolicy, FleetConfig, FleetOutcome, FleetSimulation};
 use chaff_sim::streaming::StreamingFleetEngine;
@@ -182,7 +183,8 @@ pub fn measure(
 /// Propagates [`measure`] errors.
 pub fn run_with(config: &SyntheticConfig, populations: &[usize]) -> crate::Result<Table> {
     let registry = persist_registry(config.seed, config.num_cells);
-    let dir = std::env::temp_dir();
+    let dir = TempPath::new("fleet_persist");
+    std::fs::create_dir_all(&dir)?;
     let mut table = Table::new(
         "fleet_persist",
         format!(
@@ -223,7 +225,9 @@ mod tests {
     #[test]
     fn the_persistence_loop_round_trips_at_small_scale() {
         let registry = persist_registry(1709, 8);
-        let point = measure(&registry, 120, 6, 9, &std::env::temp_dir()).unwrap();
+        let dir = TempPath::new("fleet_persist_measure");
+        std::fs::create_dir_all(&dir).unwrap();
+        let point = measure(&registry, 120, 6, 9, &dir).unwrap();
         assert!(point.bit_equal);
         assert!(point.kill_detected);
         assert_eq!(point.services, 240);

@@ -19,21 +19,17 @@
 //! measurements.
 
 use chaff_core::detector::{BatchPrefixDetector, DetectInput};
+use chaff_core::temp::TempPath;
 use chaff_eval::experiments::fleet_persist::detection_checksum;
 use chaff_sim::fleet::{FleetChaffPolicy, FleetConfig, FleetOutcome, FleetSimulation};
 use chaff_sim::streaming::StreamingFleetEngine;
 use chaff_sim::test_support::{mixed_registry, nonskewed_chain, strategy_from};
 use chaff_store::FleetStoreReader;
-use std::path::PathBuf;
 use std::sync::Mutex;
 
 /// Serializes the tests in this binary: the RSS deltas below must not
 /// see another test's allocations.
 static SERIAL: Mutex<()> = Mutex::new(());
-
-fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("chaff_accept_{}_{name}.store", std::process::id()))
-}
 
 /// Peak RSS in bytes (`VmHWM` from `/proc/self/status`); 0 when the
 /// proc interface is unavailable (non-Linux), which disables the RSS
@@ -74,7 +70,7 @@ fn golden_round_trip_matches_the_pinned_detection_checksum() {
     let outcome = FleetSimulation::with_registry(&registry, config)
         .run_chaffed(&policy)
         .unwrap();
-    let path = temp_path("golden");
+    let path = TempPath::new("accept_golden");
     outcome.checkpoint(&path).unwrap();
 
     let detector = BatchPrefixDetector::with_shards(7);
@@ -108,7 +104,6 @@ fn golden_round_trip_matches_the_pinned_detection_checksum() {
             .unwrap()
     };
     assert_eq!(paged, in_memory, "paged detection diverged");
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
@@ -119,7 +114,7 @@ fn million_user_resume_detects_bit_for_bit_in_bounded_memory() {
     let chain = nonskewed_chain(1709, 10);
     let policy = FleetChaffPolicy::uniform(strategy_from(0), 0);
     let config = FleetConfig::new(N, T).with_seed(7);
-    let path = temp_path("million");
+    let path = TempPath::new("accept_million");
 
     // Write: the streaming engine appends straight to disk; its own
     // online detections are the in-memory reference (bit-for-bit the
@@ -159,7 +154,6 @@ fn million_user_resume_detects_bit_for_bit_in_bounded_memory() {
         detection_checksum(&loaded)
     };
     let load_delta = peak_rss_bytes().saturating_sub(load_base);
-    std::fs::remove_file(&path).unwrap();
 
     assert_eq!(checksum_paged, checksum_mem, "paged detection diverged");
     assert_eq!(checksum_loaded, checksum_mem, "loaded detection diverged");
@@ -183,7 +177,7 @@ fn ten_million_service_store_writes_and_streams() {
     let outcome = FleetSimulation::new(&chain, FleetConfig::new(N, T).with_seed(11))
         .run_natural()
         .unwrap();
-    let path = temp_path("ten_million");
+    let path = TempPath::new("accept_ten_million");
     outcome.checkpoint(&path).unwrap();
 
     let mut reader = FleetStoreReader::open(&path).unwrap();
@@ -197,5 +191,4 @@ fn ten_million_service_store_writes_and_streams() {
         rows += 1;
     }
     assert_eq!(rows, T);
-    std::fs::remove_file(&path).unwrap();
 }

@@ -1,15 +1,15 @@
 //! Columnar log-likelihood kernel: a precomputed log-transition table
-//! plus slot-major batch scoring for fleet-scale detection.
+//! plus the slot-row gather/add of fleet-scale detection.
 //!
 //! [`MarkovChain::log_likelihood`] recomputes `ln` per step and walks the
 //! matrix row by row per trajectory — fine for one user, wasteful for a
 //! fleet. [`LogLikelihoodTable`] pays the `ln` cost once per model (dense
 //! table for small state spaces, sparse per-row tables above
 //! [`DENSE_STATE_LIMIT`]) and then scores arbitrarily many trajectories
-//! with pure lookups. [`LogLikelihoodTable::step_log_likelihoods_batch`]
-//! emits the increments *slot-major* (`out[t * n + i]`), which is exactly
-//! the access order of a per-slot cumulative-score update, so the batched
-//! detectors in `chaff-core` stream it with unit stride.
+//! with pure lookups. [`LogLikelihoodTable::add_step_batch`] advances a
+//! block of running scores by one slot row — the per-slot
+//! cumulative-score update of the detectors in `chaff-core`, with unit
+//! stride over the row.
 
 use crate::{CellId, MarkovChain, MarkovError, Result, Trajectory};
 
@@ -54,16 +54,21 @@ enum TableStorage {
 /// # Example
 ///
 /// ```
-/// use chaff_markov::{MarkovChain, Trajectory, TransitionMatrix};
+/// use chaff_markov::{CellId, MarkovChain, Trajectory, TransitionMatrix};
 ///
 /// # fn main() -> Result<(), chaff_markov::MarkovError> {
 /// let m = TransitionMatrix::from_rows(vec![vec![0.9, 0.1], vec![0.3, 0.7]])?;
 /// let chain = MarkovChain::new(m)?;
 /// let table = chain.log_likelihood_table();
 /// let x = Trajectory::from_indices([0, 0, 1]);
-/// let steps = table.step_log_likelihoods_batch(&[x.clone()])?;
-/// let total: f64 = steps.iter().sum();
-/// assert!((total - chain.log_likelihood(&x)).abs() < 1e-12);
+/// // One running score per user, advanced one slot row at a time.
+/// let mut accs = [0.0];
+/// let mut prev: Option<[CellId; 1]> = None;
+/// for cell in x.iter() {
+///     table.add_step_batch(prev.as_ref().map(|p| &p[..]), &[cell], &mut accs)?;
+///     prev = Some([cell]);
+/// }
+/// assert!((accs[0] - chain.log_likelihood(&x)).abs() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
@@ -216,55 +221,6 @@ impl LogLikelihoodTable {
                         logs,
                     } => add_sparse(row_starts, cols, logs, prev, row, accs),
                 }
-            }
-        }
-        Ok(())
-    }
-
-    /// Scores many trajectories at once, returning the per-slot increments
-    /// *slot-major*: element `t * trajectories.len() + i` is trajectory
-    /// `i`'s increment at slot `t` (cf.
-    /// [`MarkovChain::step_log_likelihoods`], which is per-trajectory).
-    ///
-    /// # Errors
-    ///
-    /// [`MarkovError::LengthMismatch`] for ragged batches,
-    /// [`MarkovError::CellOutOfRange`] for cells outside the state space.
-    pub fn step_log_likelihoods_batch(&self, trajectories: &[Trajectory]) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.step_log_likelihoods_batch_into(trajectories, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`step_log_likelihoods_batch`](Self::step_log_likelihoods_batch)
-    /// writing into a caller-provided buffer (cleared first), so fleet
-    /// drivers can reuse one allocation across rounds. On error the
-    /// buffer's contents are unspecified (but valid).
-    ///
-    /// # Errors
-    ///
-    /// See [`step_log_likelihoods_batch`](Self::step_log_likelihoods_batch).
-    pub fn step_log_likelihoods_batch_into(
-        &self,
-        trajectories: &[Trajectory],
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        out.clear();
-        let n = trajectories.len();
-        let horizon = trajectories.first().map_or(0, Trajectory::len);
-        out.resize(n * horizon, 0.0);
-        for (i, x) in trajectories.iter().enumerate() {
-            if x.len() != horizon {
-                return Err(MarkovError::LengthMismatch {
-                    expected: horizon,
-                    found: x.len(),
-                });
-            }
-            validate_cells(x.as_slice(), self.n)?;
-            let mut prev: Option<CellId> = None;
-            for (t, cell) in x.iter().enumerate() {
-                out[t * n + i] = self.step(prev, cell);
-                prev = Some(cell);
             }
         }
         Ok(())
@@ -441,64 +397,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_layout_is_slot_major_and_matches_per_trajectory_steps() {
-        let c = chain();
-        let table = c.log_likelihood_table();
-        let mut rng = StdRng::seed_from_u64(11);
-        let xs: Vec<Trajectory> = (0..5).map(|_| c.sample_trajectory(13, &mut rng)).collect();
-        let batch = table.step_log_likelihoods_batch(&xs).unwrap();
-        assert_eq!(batch.len(), 5 * 13);
-        for (i, x) in xs.iter().enumerate() {
-            let single = c.step_log_likelihoods(x);
-            for (t, &inc) in single.iter().enumerate() {
-                assert_eq!(batch[t * xs.len() + i], inc, "trajectory {i}, slot {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_of_empty_or_no_trajectories_is_empty() {
-        let table = chain().log_likelihood_table();
-        assert!(table.step_log_likelihoods_batch(&[]).unwrap().is_empty());
-        assert!(table
-            .step_log_likelihoods_batch(&[Trajectory::new()])
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn batch_rejects_ragged_input_with_typed_error() {
-        let table = chain().log_likelihood_table();
-        let result = table.step_log_likelihoods_batch(&[
-            Trajectory::from_indices([0, 1]),
-            Trajectory::from_indices([0]),
-        ]);
-        assert_eq!(
-            result.unwrap_err(),
-            MarkovError::LengthMismatch {
-                expected: 2,
-                found: 1
-            }
-        );
-    }
-
-    #[test]
-    fn batch_rejects_out_of_range_cells_with_typed_error() {
-        let table = chain().log_likelihood_table();
-        let result = table.step_log_likelihoods_batch(&[Trajectory::from_indices([0, 9])]);
-        assert_eq!(
-            result.unwrap_err(),
-            MarkovError::CellOutOfRange { cell: 9, states: 3 }
-        );
-    }
-
-    #[test]
     fn add_step_batch_matches_scalar_steps_bit_for_bit() {
         let c = chain();
         let mut rng = StdRng::seed_from_u64(14);
         // Widths straddling the lane count exercise both the chunked and
-        // the remainder paths; 8 and 16 are exact multiples.
-        for width in [1usize, 3, 7, 8, 9, 16, 21] {
+        // the remainder paths; 8 and 16 are exact multiples, 0 is an
+        // empty row.
+        for width in [0usize, 1, 3, 7, 8, 9, 16, 21] {
             for table in [
                 LogLikelihoodTable::with_storage(&c, true),
                 LogLikelihoodTable::with_storage(&c, false),
@@ -514,6 +419,10 @@ mod tests {
                         .add_step_batch(prev_row.as_deref(), &row, &mut accs)
                         .unwrap();
                     for (j, x) in xs.iter().enumerate() {
+                        // The chain's own per-trajectory increments,
+                        // summed in slot order, agree to the bit.
+                        let from_chain: f64 = c.step_log_likelihoods(x)[..=t].iter().sum();
+                        assert_eq!(accs[j].to_bits(), from_chain.to_bits());
                         let expected: f64 = {
                             let mut acc = 0.0;
                             let mut prev = None;
@@ -602,9 +511,39 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(13);
         let xs: Vec<Trajectory> = (0..4).map(|_| c.sample_trajectory(9, &mut rng)).collect();
-        assert_eq!(
-            dense.step_log_likelihoods_batch(&xs),
-            sparse.step_log_likelihoods_batch(&xs)
-        );
+        let mut dense_accs = vec![0.0f64; xs.len()];
+        let mut sparse_accs = vec![0.0f64; xs.len()];
+        let mut prev_row: Option<Vec<CellId>> = None;
+        for t in 0..9 {
+            let row: Vec<CellId> = xs.iter().map(|x| x.cell(t)).collect();
+            dense
+                .add_step_batch(prev_row.as_deref(), &row, &mut dense_accs)
+                .unwrap();
+            sparse
+                .add_step_batch(prev_row.as_deref(), &row, &mut sparse_accs)
+                .unwrap();
+            let bits = |accs: &[f64]| accs.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&dense_accs), bits(&sparse_accs), "slot {t}");
+            prev_row = Some(row);
+        }
+        // Typed errors are the same for either storage: an out-of-range
+        // cell, and a ragged (short) previous row.
+        let bad = [CellId::new(0), CellId::new(9)];
+        let good = [CellId::new(0), CellId::new(1)];
+        for table in [&dense, &sparse] {
+            assert_eq!(
+                table.add_step_batch(None, &bad, &mut [0.0; 2]).unwrap_err(),
+                MarkovError::CellOutOfRange { cell: 9, states: 3 }
+            );
+            assert_eq!(
+                table
+                    .add_step_batch(Some(&good[..1]), &good, &mut [0.0; 2])
+                    .unwrap_err(),
+                MarkovError::LengthMismatch {
+                    expected: 2,
+                    found: 1
+                }
+            );
+        }
     }
 }

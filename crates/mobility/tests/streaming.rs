@@ -170,7 +170,7 @@ fn crawdad_stream_feeds_build_from_stream() {
     };
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(999);
     let fleet = chaff_mobility::taxi::generate_fleet(&config, &mut rng).unwrap();
-    let dir = std::env::temp_dir().join(format!("crawdad_ingest_{}", std::process::id()));
+    let dir = chaff_core::temp::TempPath::new("crawdad_ingest");
     std::fs::create_dir_all(&dir).unwrap();
     for trace in &fleet {
         std::fs::write(
@@ -198,7 +198,6 @@ fn crawdad_stream_feeds_build_from_stream() {
         .build()
         .unwrap();
     assert_dataset_eq(&streamed, &legacy, "crawdad directory");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

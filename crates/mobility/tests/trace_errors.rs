@@ -2,6 +2,7 @@
 //! out-of-bbox points and empty-after-filter fleets must surface as
 //! *typed* `MobilityError`s naming the offending node — never panics.
 
+use chaff_core::temp::TempPath;
 use chaff_mobility::geo::{BoundingBox, GeoPoint};
 use chaff_mobility::interpolate::{inactivity_reason, regularize, SlotGrid};
 use chaff_mobility::pipeline::TraceDatasetBuilder;
@@ -11,10 +12,9 @@ use chaff_mobility::taxi::TaxiFleetConfig;
 use chaff_mobility::{crawdad, MobilityError};
 use proptest::prelude::*;
 use std::io::Cursor;
-use std::path::PathBuf;
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("trace_errors_{tag}_{}", std::process::id()));
+fn tmp_dir(tag: &str) -> TempPath {
+    let dir = TempPath::new(&format!("trace_errors_{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -48,7 +48,6 @@ fn malformed_directory_file_names_the_node_through_the_stream() {
         }
         other => panic!("unexpected error: {other:?}"),
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -84,7 +83,6 @@ fn out_of_bbox_record_names_node_and_record_index() {
         }
         other => panic!("unexpected error: {other:?}"),
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -161,11 +161,7 @@ mod tests {
     use super::*;
     use crate::fleet::{FleetChaffPolicy, FleetConfig, FleetSimulation};
     use crate::test_support::{mixed_registry, strategy_from};
-    use std::path::PathBuf;
-
-    fn temp_path(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("chaff_persist_{}_{name}", std::process::id()))
-    }
+    use chaff_core::temp::TempPath;
 
     fn outcome_eq(a: &FleetOutcome, b: &FleetOutcome) {
         assert_eq!(a.observed, b.observed);
@@ -182,11 +178,10 @@ mod tests {
         let outcome = FleetSimulation::with_registry(&registry, config)
             .run_chaffed(&policy)
             .unwrap();
-        let path = temp_path("roundtrip");
+        let path = TempPath::new("persist_roundtrip");
         outcome.checkpoint(&path).unwrap();
         let restored = FleetOutcome::restore(&path).unwrap();
         outcome_eq(&outcome, &restored);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -198,12 +193,11 @@ mod tests {
             .run_chaffed(&policy)
             .unwrap();
         let mut engine = StreamingFleetEngine::with_registry(&registry, config, &policy).unwrap();
-        let path = temp_path("streamed");
+        let path = TempPath::new("persist_streamed");
         let steps = engine.run_to_store(&path).unwrap();
         assert_eq!(steps.len(), 11);
         let restored = FleetOutcome::restore(&path).unwrap();
         outcome_eq(&batch, &restored);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -213,13 +207,15 @@ mod tests {
         let config = FleetConfig::new(4, 5).with_seed(1);
         let mut engine = StreamingFleetEngine::with_registry(&registry, config, &policy).unwrap();
         engine.step().unwrap();
-        let err = engine.run_to_store(temp_path("used")).unwrap_err();
+        let err = engine
+            .run_to_store(TempPath::new("persist_used"))
+            .unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig { .. }));
     }
 
     #[test]
     fn restoring_a_missing_or_truncated_file_is_a_typed_store_error() {
-        let path = temp_path("missing");
+        let path = TempPath::new("persist_missing");
         let err = FleetOutcome::restore(&path).unwrap_err();
         assert!(matches!(err, SimError::Store(_)));
         assert!(err.to_string().contains("fleet store"));
@@ -230,6 +226,5 @@ mod tests {
             err,
             SimError::Store(chaff_store::StoreError::BadMagic { .. })
         ));
-        std::fs::remove_file(&path).unwrap();
     }
 }

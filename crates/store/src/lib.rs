@@ -40,12 +40,8 @@ pub use writer::FleetStoreWriter;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chaff_core::temp::TempPath;
     use chaff_markov::CellId;
-    use std::path::PathBuf;
-
-    fn temp_path(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("chaff_store_{}_{name}", std::process::id()))
-    }
 
     fn tiny_meta() -> StoreMeta {
         StoreMeta {
@@ -59,7 +55,7 @@ mod tests {
 
     #[test]
     fn write_load_round_trips_bit_for_bit() {
-        let path = temp_path("roundtrip");
+        let path = TempPath::new("store_roundtrip");
         let mut writer = FleetStoreWriter::create(&path, tiny_meta()).unwrap();
         for t in 0..4usize {
             let observed: Vec<CellId> = (0..3).map(|i| CellId::new(t * 3 + i)).collect();
@@ -95,12 +91,11 @@ mod tests {
                 CellId::new(3)
             ]
         );
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn stream_slots_yields_the_written_rows_in_order() {
-        let path = temp_path("stream");
+        let path = TempPath::new("store_stream");
         let mut writer = FleetStoreWriter::create(&path, tiny_meta()).unwrap();
         for t in 0..4usize {
             let observed: Vec<CellId> = (0..3).map(|i| CellId::new(t + i)).collect();
@@ -117,12 +112,11 @@ mod tests {
         }
         assert!(stream.next_row().unwrap().is_none());
         assert_eq!(stream.rows_emitted(), 4);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn writer_rejects_wrong_arity_and_stays_usable() {
-        let path = temp_path("arity");
+        let path = TempPath::new("store_arity");
         let mut writer = FleetStoreWriter::create(&path, tiny_meta()).unwrap();
         let err = writer
             .append_slot(&[CellId::new(0)], &[CellId::new(0)])
@@ -156,12 +150,11 @@ mod tests {
             Err(StoreError::Layout { .. })
         ));
         writer.finish(StoreStats::default()).unwrap();
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn finishing_early_is_an_incomplete_error() {
-        let path = temp_path("incomplete");
+        let path = TempPath::new("store_incomplete");
         let writer = FleetStoreWriter::create(&path, tiny_meta()).unwrap();
         assert!(matches!(
             writer.finish(StoreStats::default()),
@@ -170,12 +163,11 @@ mod tests {
                 found: 0
             })
         ));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn unfinished_files_do_not_open() {
-        let path = temp_path("unfinished");
+        let path = TempPath::new("store_unfinished");
         let mut writer = FleetStoreWriter::create(&path, tiny_meta()).unwrap();
         for t in 0..4usize {
             writer
@@ -188,7 +180,6 @@ mod tests {
             FleetStoreReader::open(&path),
             Err(StoreError::Truncated { .. })
         ));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -196,7 +187,7 @@ mod tests {
         let mut meta = tiny_meta();
         meta.user_observed_indices = vec![9];
         assert!(matches!(
-            FleetStoreWriter::create(temp_path("badmeta"), meta),
+            FleetStoreWriter::create(TempPath::new("store_badmeta"), meta),
             Err(StoreError::Layout { .. })
         ));
     }
@@ -214,7 +205,7 @@ mod tests {
             shard_starts: vec![0, n / 2, n],
             user_observed_indices: vec![7, 11],
         };
-        let path = temp_path("multipage");
+        let path = TempPath::new("store_multipage");
         let mut writer = FleetStoreWriter::create(&path, meta).unwrap();
         let row = |t: usize| -> Vec<CellId> {
             (0..n)
@@ -237,7 +228,6 @@ mod tests {
             assert_eq!(stream.next_row().unwrap().unwrap(), &row(t)[..], "slot {t}");
         }
         assert!(stream.next_row().unwrap().is_none());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -249,7 +239,7 @@ mod tests {
             shard_starts: vec![0, 5],
             user_observed_indices: vec![0, 1],
         };
-        let path = temp_path("empty");
+        let path = TempPath::new("store_empty");
         let writer = FleetStoreWriter::create(&path, meta).unwrap();
         writer.finish(StoreStats::default()).unwrap();
         let mut reader = FleetStoreReader::open(&path).unwrap();
@@ -257,6 +247,5 @@ mod tests {
         assert_eq!(fleet.observed.horizon(), 0);
         assert_eq!(fleet.observed.num_trajectories(), 5);
         assert!(reader.stream_slots().next_row().unwrap().is_none());
-        std::fs::remove_file(&path).unwrap();
     }
 }

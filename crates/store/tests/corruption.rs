@@ -12,6 +12,7 @@
 //! Regenerate after an intentional format bump with:
 //! `cargo test -p chaff-store --test corruption -- --ignored`
 
+use chaff_core::temp::TempPath;
 use chaff_markov::CellId;
 use chaff_store::crc32::crc32;
 use chaff_store::{FleetStoreReader, FleetStoreWriter, StoreError, StoreMeta, StoreStats};
@@ -19,10 +20,6 @@ use std::path::PathBuf;
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store")
-}
-
-fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("chaff_store_fixture_{}_{tag}", std::process::id()))
 }
 
 /// Builds the canonical fixture store (4 services, 2 users, 3 slots,
@@ -36,7 +33,7 @@ fn canonical_bytes() -> Vec<u8> {
         shard_starts: vec![0, 2, 4],
         user_observed_indices: vec![3, 0],
     };
-    let path = temp_path("canonical");
+    let path = TempPath::new("store_fixture_canonical");
     let mut writer = FleetStoreWriter::create(&path, meta).expect("create");
     for t in 0..3usize {
         let observed: Vec<CellId> = (0..4).map(|i| CellId::new((t * 4 + i) % 9)).collect();
@@ -51,9 +48,7 @@ fn canonical_bytes() -> Vec<u8> {
             chaff_services: 2,
         })
         .expect("finish");
-    let bytes = std::fs::read(&path).expect("read back");
-    std::fs::remove_file(&path).expect("cleanup");
-    bytes
+    std::fs::read(&path).expect("read back")
 }
 
 /// Every fixture as `(file name, bytes)`, derived from the canonical
@@ -196,36 +191,33 @@ fn corrupt_footer_index_is_typed() {
     let mut corrupt = bytes.clone();
     let at = corrupt.len() - 28 - 30;
     corrupt[at] ^= 0x01;
-    let path = temp_path("footer_corrupt");
+    let path = TempPath::new("store_fixture_footer_corrupt");
     std::fs::write(&path, &corrupt).unwrap();
     assert!(matches!(
         FleetStoreReader::open(&path),
         Err(StoreError::FooterCorrupt { .. }) | Err(StoreError::Truncated { .. })
     ));
-    std::fs::remove_file(&path).unwrap();
 
     // Damage the entry count in the tail itself.
     let mut corrupt = bytes;
     let len = corrupt.len();
     corrupt[len - 28] ^= 0xFF;
-    let path = temp_path("tail_corrupt");
+    let path = TempPath::new("store_fixture_tail_corrupt");
     std::fs::write(&path, &corrupt).unwrap();
     assert!(matches!(
         FleetStoreReader::open(&path),
         Err(StoreError::FooterCorrupt { .. })
     ));
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
 fn flipped_header_byte_is_a_header_checksum_error() {
     let mut bytes = canonical_bytes();
     bytes[17] ^= 0x04; // inside num_services
-    let path = temp_path("header_flip");
+    let path = TempPath::new("store_fixture_header_flip");
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
         FleetStoreReader::open(&path),
         Err(StoreError::HeaderChecksum { .. })
     ));
-    std::fs::remove_file(&path).unwrap();
 }

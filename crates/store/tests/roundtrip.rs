@@ -1,10 +1,10 @@
 //! Property battery: write → load / stream round-trips are bit-for-bit
 //! across population shapes, shard layouts and page boundaries.
 
+use chaff_core::temp::TempPath;
 use chaff_markov::CellId;
 use chaff_store::{FleetStoreReader, FleetStoreWriter, StoreMeta, StoreStats};
 use proptest::prelude::*;
-use std::path::PathBuf;
 
 /// SplitMix64 — deterministic per-case cell material without touching
 /// the vendored RNG.
@@ -18,10 +18,6 @@ fn mix(mut x: u64) -> u64 {
 
 fn cell(seed: u64, t: usize, i: usize, num_cells: usize) -> CellId {
     CellId::new((mix(seed ^ ((t as u64) << 32) ^ i as u64) % num_cells as u64) as usize)
-}
-
-fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("chaff_store_prop_{}_{tag}", std::process::id()))
 }
 
 /// Builds a meta with `shards` roughly balanced shard ranges.
@@ -63,7 +59,7 @@ proptest! {
     ) {
         let num_services = num_users * (1 + budget);
         let meta = meta_for(num_services, num_users, horizon, shards);
-        let path = temp_path(&format!("{seed}_{num_users}_{budget}_{horizon}_{shards}"));
+        let path = TempPath::new("store_prop");
         let mut writer = FleetStoreWriter::create(&path, meta.clone()).unwrap();
         for t in 0..horizon {
             let observed: Vec<CellId> =
@@ -106,7 +102,6 @@ proptest! {
             prop_assert_eq!(&row[..], fleet.observed.row(t), "slot {}", t);
         }
         prop_assert!(stream.next_row().unwrap().is_none());
-        std::fs::remove_file(&path).unwrap();
     }
 
     /// Fuzzing the bytes: flipping any single byte of a valid store
@@ -122,7 +117,7 @@ proptest! {
         let num_users = 4;
         let horizon = 6;
         let meta = meta_for(num_services, num_users, horizon, 3);
-        let path = temp_path(&format!("fuzz_{seed}_{flip_at}_{flip_bit}"));
+        let path = TempPath::new("store_prop");
         let mut writer = FleetStoreWriter::create(&path, meta).unwrap();
         for t in 0..horizon {
             let observed: Vec<CellId> =
@@ -148,6 +143,5 @@ proptest! {
                 ),
             },
         }
-        std::fs::remove_file(&path).unwrap();
     }
 }
