@@ -152,12 +152,17 @@ impl WorkerPool {
             next_seq: std::cell::Cell::new(0),
             env: std::marker::PhantomData,
         };
-        // The guard waits for every spawned job even when `f` unwinds:
-        // queued jobs borrow from the caller's frame, so returning (or
-        // unwinding past) this frame before they finish would be unsound.
+        // The guard waits for every spawned job when `f` unwinds: queued
+        // jobs borrow from the caller's frame, so unwinding past this
+        // frame before they finish would be unsound.
         let guard = WaitGuard { scope: &scope };
         let result = f(&scope);
-        drop(guard);
+        // `f` returned, so the wait (and any job panic) happens here. The
+        // guard holds only a reference; forgetting it leaks nothing.
+        std::mem::forget(guard);
+        if let Some(payload) = wait_for_scope(self, &scope.state) {
+            resume_unwind(payload);
+        }
         result
     }
 
@@ -285,8 +290,9 @@ impl<'pool, 'env> PoolScope<'pool, 'env> {
         // SAFETY: the job is erased to `'static` so persistent workers
         // can hold it, but it only borrows data living at least as long
         // as `'env`. `WorkerPool::scope` cannot return before this job
-        // has run to completion: `WaitGuard` blocks (even during unwind)
-        // until `pending == 0`, and `pending` was incremented above
+        // has run to completion: it waits for `pending == 0` after the
+        // scoping closure returns, and `WaitGuard` waits the same way if
+        // the closure unwinds; `pending` was incremented above
         // before the job became reachable. Trait-object transmutes over
         // a lifetime parameter are layout-identical fat pointers.
         #[allow(unsafe_code)]
@@ -323,21 +329,20 @@ fn wait_for_scope(pool: &WorkerPool, state: &ScopeState) -> Option<Box<dyn std::
     }
 }
 
-/// Waits for the scope on drop, so `scope` never unwinds past live
-/// borrowed jobs; re-raises a job panic when the scoping closure itself
-/// completed normally.
+/// Waits for the scope when the scoping closure unwinds, so `scope`
+/// never unwinds past live borrowed jobs. The closure's own panic is the
+/// one that propagates; job payloads are dropped. (Whether the closure
+/// unwound is known from the guard being dropped at all, not from
+/// `std::thread::panicking`: a helping waiter that is itself unwinding
+/// may run this scope inside one of its queued jobs, and must still see
+/// this scope's job panics.)
 struct WaitGuard<'a, 'pool, 'env> {
     scope: &'a PoolScope<'pool, 'env>,
 }
 
 impl Drop for WaitGuard<'_, '_, '_> {
     fn drop(&mut self) {
-        let payload = wait_for_scope(self.scope.pool, &self.scope.state);
-        if let Some(payload) = payload {
-            if !std::thread::panicking() {
-                resume_unwind(payload);
-            }
-        }
+        drop(wait_for_scope(self.scope.pool, &self.scope.state));
     }
 }
 

@@ -205,7 +205,13 @@ pub enum FleetChaffStrategy {
 
 impl FleetChaffStrategy {
     /// Builds the per-slot controller for one chaff over `chain`.
-    pub fn controller<'a>(self, chain: &'a MarkovChain) -> Box<dyn OnlineChaffController + 'a> {
+    ///
+    /// The box is `Send` because the streaming engine advances chaff lanes
+    /// on pool workers.
+    pub fn controller<'a>(
+        self,
+        chain: &'a MarkovChain,
+    ) -> Box<dyn OnlineChaffController + Send + 'a> {
         match self {
             FleetChaffStrategy::Im => Box::new(ImController::new(chain)),
             FleetChaffStrategy::Cml => Box::new(CmlController::new(chain)),
@@ -226,11 +232,14 @@ impl FleetChaffStrategy {
     /// draws once per slot, CML and MO draw nothing), so a schedule
     /// whose epochs hold identical chains replays the stationary seed
     /// stream bit for bit.
+    ///
+    /// The box is `Send` because the streaming engine advances chaff lanes
+    /// on pool workers.
     pub fn scheduled_controller<'a>(
         self,
         registry: &'a MobilityRegistry,
         class: usize,
-    ) -> Box<dyn OnlineChaffController + 'a> {
+    ) -> Box<dyn OnlineChaffController + Send + 'a> {
         let chains = EpochChains::new(
             (0..registry.num_epochs())
                 .map(|epoch| registry.chain_at(class, epoch))

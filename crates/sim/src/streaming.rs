@@ -8,16 +8,23 @@
 //! row per slot — and a real deployment never has the future.
 //! [`StreamingFleetEngine`] advances one slot at a time:
 //!
-//! 1. **Draw / ingest.** Each user's next cell comes from its mobility
-//!    chain ([`step`](StreamingFleetEngine::step)) or from an external
+//! 1. **Draw / ingest and chaff (one lane pass).** For each user, its
+//!    next cell comes from its mobility chain
+//!    ([`step`](StreamingFleetEngine::step)) or from an external
 //!    per-slot feed ([`step_ingested`](StreamingFleetEngine::step_ingested),
-//!    e.g. a quantized trace stream); each chaff lane advances its
-//!    [`OnlineChaffController`] with its own RNG stream.
+//!    e.g. a quantized trace stream); the real service follows it, and
+//!    each of the user's chaff lanes advances its
+//!    [`OnlineChaffController`] with its own RNG stream. The pass runs
+//!    over the contiguous user shards of the fleet's shard count on
+//!    [`chaff_core::pool::global`] (inline when there is one shard).
 //! 2. **Place.** Optional shared-capacity replay through one
-//!    [`MecNetwork`], exactly like the batch engine's sequential replay.
-//! 3. **Anonymize.** The slot row is scattered through the fleet's
-//!    Fisher–Yates permutation (drawn once, up front, from the same
-//!    seed stream as the batch engine).
+//!    [`MecNetwork`], exactly like the batch engine's sequential replay;
+//!    the placed cells overwrite the planned row.
+//! 3. **Anonymize.** The slot row is gathered through the inverse of the
+//!    fleet's Fisher–Yates permutation (drawn once, up front, from the
+//!    same seed stream as the batch engine):
+//!    `observed[j] = planned[source[j]]`, over disjoint output chunks on
+//!    the pool.
 //! 4. **Detect.** The row feeds a
 //!    [`StreamingPrefixDetector`], which shares the batch detector's
 //!    per-slot kernel — and the slot's tracking/detection accuracy is
@@ -29,6 +36,17 @@
 //! `run_chaffed` + unified `detect_prefixes` pipeline —
 //! proptested across shard counts, budgets and mobility classes in
 //! `tests/streaming_equivalence.rs`.
+//!
+//! # Shard independence
+//!
+//! The sharded phases cannot change a single bit of output. Every user
+//! lane and every chaff lane owns its own `StdRng` stream and its own
+//! controller state, and a lane writes only its own planned columns, so
+//! which shard (or thread) advances a lane — and in what order relative
+//! to other lanes — cannot change what it draws. The gather writes each
+//! observed column from exactly one planned column, a pure copy. The
+//! capacity replay, whose placements depend on service order, stays one
+//! sequential loop. `tests/lane_shards.rs` pins this across shard counts.
 //!
 //! # Memory bound
 //!
@@ -88,8 +106,8 @@ struct UserLane<'a> {
     /// Current cell (`None` before the first slot).
     now: Option<CellId>,
     /// Chaff controllers with their independent RNG streams, in lane
-    /// order.
-    chaffs: Vec<(Box<dyn OnlineChaffController + 'a>, StdRng)>,
+    /// order. `Send`, so the lane pass can advance them on pool workers.
+    chaffs: Vec<(Box<dyn OnlineChaffController + Send + 'a>, StdRng)>,
 }
 
 /// Bounded ring of the most recent observed slot rows (post-shuffle).
@@ -165,24 +183,27 @@ pub struct StreamingFleetEngine<'a> {
     config: FleetConfig,
     service_starts: Vec<usize>,
     num_services: usize,
-    /// `perm[original]` = post-shuffle position (identity when
-    /// anonymization is off).
-    perm: Vec<usize>,
+    /// `source[observed]` = the planned (pre-shuffle) service shown at
+    /// that observed position: the inverse of the anonymization
+    /// permutation (identity when anonymization is off).
+    source: Vec<usize>,
     user_observed_indices: Vec<usize>,
     /// `is_user[observed index]`: does this column carry a real user?
     is_user: Vec<bool>,
     users: Vec<UserLane<'a>>,
+    /// Shard count of the per-user and per-service passes (the
+    /// detector's, from [`FleetConfig`]).
+    shards: usize,
     detector: StreamingPrefixDetector,
     ring: SlotRing,
-    /// Previous slot's planned (pre-shuffle) row, for fast-path
-    /// migration counting.
+    /// Previous slot's placed (pre-shuffle) row: the fast path counts
+    /// migrations against it, the capacity replay migrates from it.
     planned_prev: Vec<CellId>,
     planned_row: Vec<CellId>,
     observed_row: Vec<CellId>,
     user_row: Vec<CellId>,
-    /// Capacity replay state: the shared network plus each service's
-    /// current actual cell.
-    network: Option<(MecNetwork, Vec<CellId>)>,
+    /// The shared network of the capacity replay.
+    network: Option<MecNetwork>,
     /// Cell histogram scratch for the per-slot tracking accuracy.
     histogram: Vec<usize>,
     stats: FleetStats,
@@ -257,7 +278,7 @@ impl<'a> StreamingFleetEngine<'a> {
                         // epoch-active chains, the stationary path keeps
                         // the bare controller.
                         let strategy = policy.strategy_of(class);
-                        let controller: Box<dyn OnlineChaffController + 'a> = match model {
+                        let controller = match model {
                             FleetModel::Heterogeneous(r) if !r.is_stationary() => {
                                 strategy.scheduled_controller(r, class)
                             }
@@ -274,7 +295,8 @@ impl<'a> StreamingFleetEngine<'a> {
             })
             .collect();
         // The batch engine shuffles once, at assembly; the same
-        // permutation (same seed stream) scatters every slot row here.
+        // permutation (same seed stream) anonymizes every slot row here,
+        // kept only as its inverse for the per-slot gather.
         let perm = if config.anonymize {
             let mut rng = StdRng::seed_from_u64(shuffle_seed(config.seed));
             fisher_yates(num_services, &mut rng)
@@ -282,10 +304,16 @@ impl<'a> StreamingFleetEngine<'a> {
             (0..num_services).collect()
         };
         let user_observed_indices: Vec<usize> = (0..n).map(|u| perm[service_starts[u]]).collect();
+        let mut source = vec![0usize; num_services];
+        for (service, &observed) in perm.iter().enumerate() {
+            source[observed] = service;
+        }
+        drop(perm);
         let mut is_user = vec![false; num_services];
         for &idx in &user_observed_indices {
             is_user[idx] = true;
         }
+        let shards = config.effective_shards();
         // A multi-epoch registry arms the eavesdropper with the full
         // epoch-major table set (it knows the population's time-varying
         // model mix); stationary models keep the plain construction.
@@ -295,7 +323,7 @@ impl<'a> StreamingFleetEngine<'a> {
                     registry.to_epoch_tables(),
                     registry.schedule().clone(),
                     num_services,
-                    config.effective_shards(),
+                    shards,
                 )?
             }
             _ => {
@@ -305,11 +333,7 @@ impl<'a> StreamingFleetEngine<'a> {
                         .map(|c| registry.table(c).clone())
                         .collect(),
                 };
-                StreamingPrefixDetector::with_shards(
-                    tables,
-                    num_services,
-                    config.effective_shards(),
-                )?
+                StreamingPrefixDetector::with_shards(tables, num_services, shards)?
             }
         };
         // An adaptive policy needs the detector-side accuracy feedback to
@@ -319,10 +343,7 @@ impl<'a> StreamingFleetEngine<'a> {
             detector = detector.with_feedback();
         }
         let network = match config.node_capacity {
-            Some(capacity) => Some((
-                MecNetwork::new(model.num_states(), Some(capacity))?,
-                Vec::with_capacity(num_services),
-            )),
+            Some(capacity) => Some(MecNetwork::new(model.num_states(), Some(capacity))?),
             None => None,
         };
         let histogram = vec![0usize; model.num_states()];
@@ -337,13 +358,14 @@ impl<'a> StreamingFleetEngine<'a> {
             config,
             service_starts,
             num_services,
-            perm,
+            source,
             user_observed_indices,
             is_user,
             users,
+            shards,
             detector,
             ring: SlotRing::new(DEFAULT_RING_DEPTH),
-            planned_prev: Vec::with_capacity(num_services),
+            planned_prev: vec![CellId::new(0); num_services],
             planned_row: vec![CellId::new(0); num_services],
             observed_row: vec![CellId::new(0); num_services],
             user_row: vec![CellId::new(0); n],
@@ -453,8 +475,8 @@ impl<'a> StreamingFleetEngine<'a> {
     }
 
     /// Bytes of horizon-independent engine state: the observed-row ring,
-    /// the detector's running scores, the permutation/layout tables and
-    /// the row scratch buffers. Per-user RNG/controller state is *not*
+    /// the detector's running scores, the inverse-permutation/layout
+    /// tables and the row scratch buffers. Per-user RNG/controller state is *not*
     /// included (it is `O(N)` but heap-layout dependent); the reported
     /// figure is the engine's `O(width · ring_depth + N)` columnar
     /// footprint, the quantity the memory-bound tests pin down.
@@ -463,16 +485,12 @@ impl<'a> StreamingFleetEngine<'a> {
             + self.planned_row.capacity() * 4
             + self.observed_row.capacity() * 4
             + self.user_row.capacity() * 4;
-        let tables = self.perm.capacity() * 8
+        let tables = self.source.capacity() * 8
             + self.service_starts.capacity() * 8
             + self.user_observed_indices.capacity() * 8
             + self.is_user.capacity()
             + self.histogram.capacity() * 8;
-        let actual = self
-            .network
-            .as_ref()
-            .map_or(0, |(_, actual)| actual.capacity() * 4);
-        self.ring.bytes() + self.detector.state_bytes() + rows + tables + actual
+        self.ring.bytes() + self.detector.state_bytes() + rows + tables
     }
 
     /// Advances one slot, drawing every user's move from its mobility
@@ -486,19 +504,7 @@ impl<'a> StreamingFleetEngine<'a> {
         if self.slot >= self.config.horizon {
             return Ok(None);
         }
-        // Draw phase: each user advances by its own stream — the exact
-        // draw order of the batch engine's `simulate_user_into`, which
-        // interleaves user and chaff draws per slot but never across
-        // users (independent streams make user order irrelevant).
-        for user in 0..self.config.num_users {
-            let chain = self.model.chain_at_slot(user, self.slot);
-            let lane = &mut self.users[user];
-            let cell = match lane.now {
-                None => chain.initial().sample(&mut lane.rng),
-                Some(prev) => chain.step(prev, &mut lane.rng),
-            };
-            self.user_row[user] = cell;
-        }
+        self.run_lanes(true);
         self.advance_slot()
     }
 
@@ -543,68 +549,102 @@ impl<'a> StreamingFleetEngine<'a> {
             }
         }
         self.user_row.copy_from_slice(user_cells);
+        self.run_lanes(false);
         self.advance_slot()
     }
 
-    /// The shared slot tail: chaff injection, optional capacity replay,
-    /// anonymized scatter, ring append, online detection and incremental
-    /// accuracy. `self.user_row` holds this slot's user cells on entry.
+    /// The lane pass: for every user, draw its cell into `user_row`
+    /// (when `draw`; the ingest path has filled it already), record it
+    /// as the lane's position and the real service's planned cell, then
+    /// step the user's chaff controllers into its planned columns. Runs
+    /// over contiguous user shards; a shard's planned columns are the
+    /// contiguous range `service_starts[lo]..service_starts[hi]`.
+    fn run_lanes(&mut self, draw: bool) {
+        let chunk = self.config.num_users.div_ceil(self.shards);
+        let (model, slot, starts) = (self.model, self.slot, &self.service_starts);
+        let mut planned_rest = &mut self.planned_row[..];
+        let parts = self
+            .users
+            .chunks_mut(chunk)
+            .zip(self.user_row.chunks_mut(chunk))
+            .enumerate()
+            .map(|(w, (lanes, cells))| {
+                let lo = w * chunk;
+                let width = starts[lo + lanes.len()] - starts[lo];
+                let (planned, rest) = std::mem::take(&mut planned_rest).split_at_mut(width);
+                planned_rest = rest;
+                (lo, lanes, cells, planned)
+            });
+        run_sharded(parts, |(lo, lanes, cells, mut planned)| {
+            for (user, (lane, cell)) in (lo..).zip(lanes.iter_mut().zip(cells)) {
+                if draw {
+                    let chain = model.chain_at_slot(user, slot);
+                    *cell = match lane.now {
+                        None => chain.initial().sample(&mut lane.rng),
+                        Some(prev) => chain.step(prev, &mut lane.rng),
+                    };
+                }
+                lane.now = Some(*cell);
+                // Always-follow for the real service, then one controller
+                // step per chaff lane, in lane order.
+                let (row, rest) = planned.split_at_mut(1 + lane.chaffs.len());
+                planned = rest;
+                row[0] = *cell;
+                for ((controller, chaff_rng), out) in lane.chaffs.iter_mut().zip(&mut row[1..]) {
+                    *out = controller.next(*cell, &[], chaff_rng);
+                }
+            }
+        });
+    }
+
+    /// The shared slot tail: optional capacity replay, anonymizing
+    /// gather, ring append, online detection and incremental accuracy.
+    /// The lane pass has filled `user_row` and `planned_row` on entry.
     fn advance_slot(&mut self) -> Result<Option<SlotStep>> {
         let n = self.config.num_users;
         let slot = self.slot;
-        // Chaff phase: always-follow for the real service, one
-        // controller step per chaff lane (lane order, like the batch
-        // engine).
-        for user in 0..n {
-            let cell = self.user_row[user];
-            let lane = &mut self.users[user];
-            lane.now = Some(cell);
-            let col = self.service_starts[user];
-            self.planned_row[col] = cell;
-            for (offset, (controller, chaff_rng)) in lane.chaffs.iter_mut().enumerate() {
-                self.planned_row[col + 1 + offset] = controller.next(cell, &[], chaff_rng);
-            }
-        }
         // Placement phase.
-        if let Some((network, actual)) = &mut self.network {
+        if let Some(network) = &mut self.network {
             // Sequential capacity replay in global service order — the
             // batch engine's `replay_with_capacity`, one slot at a time.
-            for (service, desired) in self.planned_row.iter().copied().enumerate() {
-                let placed = if slot == 0 {
-                    let cell = network.place_nearest(desired)?;
-                    actual.push(cell);
-                    cell
+            // The placed cell replaces the desired one, and the previous
+            // placed row is every service's current actual cell.
+            for (service, cell) in self.planned_row.iter_mut().enumerate() {
+                let desired = *cell;
+                if slot == 0 {
+                    *cell = network.place_nearest(desired)?;
                 } else {
-                    let prev = actual[service];
-                    let cell = network.migrate(prev, desired)?;
-                    if cell != prev {
+                    let prev = self.planned_prev[service];
+                    *cell = network.migrate(prev, desired)?;
+                    if *cell != prev {
                         self.stats.migrations += 1;
                     }
-                    actual[service] = cell;
-                    cell
-                };
-                if placed != desired {
+                }
+                if *cell != desired {
                     self.stats.spills += 1;
                 }
-                self.observed_row[self.perm[service]] = placed;
             }
-        } else {
+        } else if slot > 0 {
             // Fast path: planned placement is actual placement; count
             // migrations row against row.
-            if slot > 0 {
-                self.stats.migrations += self
-                    .planned_row
-                    .iter()
-                    .zip(&self.planned_prev)
+            let chunk = self.num_services.div_ceil(self.shards);
+            let parts = self
+                .planned_row
+                .chunks(chunk)
+                .zip(self.planned_prev.chunks(chunk));
+            self.stats.migrations += run_sharded(parts, |(now, prev)| {
+                now.iter()
+                    .zip(prev)
                     .filter(|(now, prev)| now != prev)
-                    .count();
-            }
-            for (service, &cell) in self.planned_row.iter().enumerate() {
-                self.observed_row[self.perm[service]] = cell;
-            }
+                    .count()
+            })
+            .into_iter()
+            .sum::<usize>();
         }
-        self.planned_prev.clear();
-        self.planned_prev.extend_from_slice(&self.planned_row);
+        self.gather();
+        // Every slot rewrites every planned column, so the old previous
+        // row is free scratch for the next slot.
+        std::mem::swap(&mut self.planned_prev, &mut self.planned_row);
         self.ring.push(&self.observed_row);
         // Detection phase: the shared per-slot kernel. Cells come from a
         // validated model or a pre-validated ingest row, so this cannot
@@ -617,10 +657,16 @@ impl<'a> StreamingFleetEngine<'a> {
         for &i in tie {
             self.histogram[self.observed_row[i].index()] += 1;
         }
-        let mut hits = 0usize;
-        for &u in &self.user_observed_indices {
-            hits += self.histogram[self.observed_row[u].index()];
-        }
+        let (histogram, observed) = (&self.histogram, &self.observed_row);
+        let parts = self.user_observed_indices.chunks(n.div_ceil(self.shards));
+        let hits: usize = run_sharded(parts, |columns| {
+            columns
+                .iter()
+                .map(|&u| histogram[observed[u].index()])
+                .sum::<usize>()
+        })
+        .into_iter()
+        .sum();
         let tracking_accuracy = hits as f64 / tie.len() as f64 / n as f64;
         for &i in tie {
             self.histogram[self.observed_row[i].index()] = 0;
@@ -636,6 +682,45 @@ impl<'a> StreamingFleetEngine<'a> {
             detection_accuracy,
         }))
     }
+
+    /// The anonymizing gather `observed_row[j] = planned_row[source[j]]`,
+    /// over disjoint chunks of the observed row.
+    fn gather(&mut self) {
+        let chunk = self.num_services.div_ceil(self.shards);
+        let planned = &self.planned_row;
+        let parts = self
+            .observed_row
+            .chunks_mut(chunk)
+            .zip(self.source.chunks(chunk));
+        run_sharded(parts, |(observed, source)| {
+            for (cell, &service) in observed.iter_mut().zip(source) {
+                *cell = planned[service];
+            }
+        });
+    }
+}
+
+/// Runs `job` on every part and returns the results in part order:
+/// inline when there is at most one part (a one-shard pass pays no pool
+/// dispatch), else one job per part on the shared worker pool.
+fn run_sharded<T: Send, R: Send>(
+    parts: impl ExactSizeIterator<Item = T>,
+    job: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    if parts.len() <= 1 {
+        return parts.map(job).collect();
+    }
+    let mut results: Vec<Option<R>> = (0..parts.len()).map(|_| None).collect();
+    let job = &job;
+    chaff_core::pool::global().scope(|scope| {
+        for (part, result) in parts.zip(results.iter_mut()) {
+            scope.spawn(move || *result = Some(job(part)));
+        }
+    });
+    results
+        .into_iter()
+        .map(|result| result.expect("the pool scope ran every part"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -645,6 +730,25 @@ mod tests {
 
     fn chain(seed: u64) -> MarkovChain {
         crate::test_support::nonskewed_chain(seed, 10)
+    }
+
+    /// The lane pass moves user lanes onto pool workers, so the engine
+    /// and the boxes both controller factories return must stay `Send`.
+    #[test]
+    fn engine_and_controller_factories_are_send() {
+        fn assert_send<T: Send>() {}
+        fn assert_send_value<T: Send>(_: &T) {}
+        assert_send::<StreamingFleetEngine<'_>>();
+        let c = chain(8);
+        let registry = MobilityRegistry::new(vec![c.clone()]).unwrap();
+        for strategy in [
+            FleetChaffStrategy::Im,
+            FleetChaffStrategy::Cml,
+            FleetChaffStrategy::Mo,
+        ] {
+            assert_send_value(&strategy.controller(&c));
+            assert_send_value(&strategy.scheduled_controller(&registry, 0));
+        }
     }
 
     #[test]
