@@ -82,25 +82,28 @@ impl CellGrid {
         }
     }
 
-    /// A zero-filled `num_trajectories × horizon` grid, for writers that
-    /// scatter cells with [`set`](CellGrid::set) (e.g. per-shard fleet
-    /// generation workers).
+    /// Wraps slot-major cells (`cells[t * N + i]`, whole rows only) as a
+    /// grid of `num_trajectories` columns — the zero-copy exit of a
+    /// writer that fills rows in place (the fleet engine's gather).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `num_trajectories × horizon` overflows `usize` (callers
-    /// sizing grids from untrusted inputs should pre-check, as
-    /// `chaff-sim`'s fleet layout does; a wrapped product would
-    /// otherwise allocate a too-small arena in release builds).
-    pub fn with_horizon(num_trajectories: usize, horizon: usize) -> Self {
-        let len = num_trajectories
-            .checked_mul(horizon)
-            .expect("cell count overflows usize");
-        CellGrid {
-            cells: vec![CellId::new(0); len],
+    /// Returns [`MarkovError::DimensionMismatch`] when `cells` is not a
+    /// whole number of `num_trajectories`-cell rows (`expected` is the
+    /// next whole-row length).
+    pub fn from_cells(num_trajectories: usize, cells: Vec<CellId>) -> crate::Result<Self> {
+        let horizon = cells.len().checked_div(num_trajectories).unwrap_or(0);
+        if horizon * num_trajectories != cells.len() {
+            return Err(MarkovError::DimensionMismatch {
+                expected: (horizon + 1) * num_trajectories,
+                found: cells.len(),
+            });
+        }
+        Ok(CellGrid {
+            cells,
             num_trajectories,
             horizon,
-        }
+        })
     }
 
     /// Builds a grid from per-trajectory cell sequences.
@@ -158,17 +161,6 @@ impl CellGrid {
     pub fn cell(&self, t: usize, i: usize) -> CellId {
         assert!(i < self.num_trajectories, "trajectory index out of range");
         self.cells[t * self.num_trajectories + i]
-    }
-
-    /// Writes the cell of trajectory `i` at slot `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= horizon()` or `i >= num_trajectories()`.
-    #[inline]
-    pub fn set(&mut self, t: usize, i: usize, cell: CellId) {
-        assert!(i < self.num_trajectories, "trajectory index out of range");
-        self.cells[t * self.num_trajectories + i] = cell;
     }
 
     /// All `N` cells observed during slot `t`, in trajectory order.
@@ -243,9 +235,9 @@ impl CellGrid {
 /// Trajectory-major contiguous arena: `cells[i * T + t]` is the cell of
 /// trajectory `i` at slot `t`.
 ///
-/// The generator-side dual of [`CellGrid`]: one simulation worker owns a
-/// contiguous range of rows and fills each row slot by slot — no
-/// per-trajectory allocation, no false sharing across workers.
+/// The per-trajectory dual of [`CellGrid`]: each trajectory's cells are
+/// contiguous, with no per-trajectory allocation — the layout of a
+/// fleet's per-user ground truth.
 ///
 /// # Example
 ///
@@ -273,8 +265,10 @@ impl TrajectoryArena {
     ///
     /// # Panics
     ///
-    /// Panics if `num_trajectories × horizon` overflows `usize` (see
-    /// [`CellGrid::with_horizon`]).
+    /// Panics if `num_trajectories × horizon` overflows `usize` (callers
+    /// sizing arenas from untrusted inputs should pre-check, as
+    /// `chaff-sim`'s fleet layout does; a wrapped product would
+    /// otherwise allocate a too-small arena in release builds).
     pub fn new(num_trajectories: usize, horizon: usize) -> Self {
         let len = num_trajectories
             .checked_mul(horizon)
@@ -329,23 +323,6 @@ impl TrajectoryArena {
         self.row(i).iter().copied().collect()
     }
 
-    /// Splits the arena into disjoint chunks of (up to) `rows` whole
-    /// trajectories each, for concurrent fills (one chunk per worker).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows == 0` while the arena is non-empty.
-    pub fn chunks_of_rows_mut(&mut self, rows: usize) -> Vec<ArenaRowsMut<'_>> {
-        let horizon = self.horizon;
-        if self.cells.is_empty() {
-            return Vec::new();
-        }
-        self.cells
-            .chunks_mut(rows * horizon.max(1))
-            .map(|cells| ArenaRowsMut { cells, horizon })
-            .collect()
-    }
-
     /// Bytes spent on cell storage (`N × T × 4`).
     pub fn cell_bytes(&self) -> usize {
         self.cells.len() * std::mem::size_of::<CellId>()
@@ -357,32 +334,6 @@ impl TrajectoryArena {
     #[inline]
     pub fn as_cells(&self) -> &[CellId] {
         &self.cells
-    }
-}
-
-/// A worker's exclusive window onto a contiguous run of
-/// [`TrajectoryArena`] rows (see
-/// [`chunks_of_rows_mut`](TrajectoryArena::chunks_of_rows_mut)).
-#[derive(Debug)]
-pub struct ArenaRowsMut<'a> {
-    cells: &'a mut [CellId],
-    horizon: usize,
-}
-
-impl ArenaRowsMut<'_> {
-    /// Number of whole trajectories in this window.
-    pub fn num_rows(&self) -> usize {
-        self.cells.len().checked_div(self.horizon).unwrap_or(0)
-    }
-
-    /// Mutable access to the window-local trajectory `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= num_rows()`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [CellId] {
-        &mut self.cells[i * self.horizon..(i + 1) * self.horizon]
     }
 }
 
@@ -447,41 +398,48 @@ mod tests {
     }
 
     #[test]
-    fn set_and_cell_are_inverses() {
-        let mut grid = CellGrid::with_horizon(3, 2);
-        grid.set(1, 2, CellId::new(7));
-        assert_eq!(grid.cell(1, 2), CellId::new(7));
-        assert_eq!(grid.cell(0, 2), CellId::new(0));
+    fn from_cells_reads_whole_slot_major_rows() {
+        let cells: Vec<CellId> = (0..6).map(CellId::new).collect();
+        let grid = CellGrid::from_cells(3, cells).unwrap();
+        assert_eq!(grid.horizon(), 2);
+        assert_eq!(grid.cell(1, 2), CellId::new(5));
+        assert_eq!(
+            grid.row(0),
+            &[CellId::new(0), CellId::new(1), CellId::new(2)]
+        );
+        // A partial row is a typed error, as is a cell without columns.
+        let err = CellGrid::from_cells(4, vec![CellId::new(0); 6]).unwrap_err();
+        assert!(matches!(
+            err,
+            MarkovError::DimensionMismatch {
+                expected: 8,
+                found: 6
+            }
+        ));
+        assert!(CellGrid::from_cells(0, vec![CellId::new(0)]).is_err());
+        assert!(CellGrid::from_cells(0, Vec::new()).unwrap().is_empty());
     }
 
     #[test]
     fn cell_bytes_are_four_per_cell_plus_constant_shape() {
-        let grid = CellGrid::with_horizon(100, 7);
+        let grid = CellGrid::from_cells(100, vec![CellId::new(0); 100 * 7]).unwrap();
         assert_eq!(grid.cell_bytes(), 100 * 7 * 4);
         let arena = TrajectoryArena::new(100, 7);
         assert_eq!(arena.cell_bytes(), 100 * 7 * 4);
     }
 
     #[test]
-    fn arena_rows_are_contiguous_and_chunkable() {
+    fn arena_rows_are_contiguous() {
         let mut arena = TrajectoryArena::new(5, 3);
-        {
-            let mut chunks = arena.chunks_of_rows_mut(2);
-            assert_eq!(chunks.len(), 3); // 2 + 2 + 1 rows
-            assert_eq!(chunks[0].num_rows(), 2);
-            assert_eq!(chunks[2].num_rows(), 1);
-            for (w, chunk) in chunks.iter_mut().enumerate() {
-                for j in 0..chunk.num_rows() {
-                    let row = chunk.row_mut(j);
-                    for (t, cell) in row.iter_mut().enumerate() {
-                        *cell = CellId::new(w * 10 + j * 3 + t);
-                    }
-                }
+        for i in 0..5 {
+            for (t, cell) in arena.row_mut(i).iter_mut().enumerate() {
+                *cell = CellId::new(i * 3 + t);
             }
         }
         assert_eq!(arena.trajectory(0), Trajectory::from_indices([0, 1, 2]));
-        assert_eq!(arena.trajectory(3), Trajectory::from_indices([13, 14, 15]));
-        assert_eq!(arena.trajectory(4), Trajectory::from_indices([20, 21, 22]));
+        assert_eq!(arena.trajectory(4), Trajectory::from_indices([12, 13, 14]));
+        let expected: Vec<CellId> = (0..15).map(CellId::new).collect();
+        assert_eq!(arena.as_cells(), &expected[..]);
         assert_eq!(arena.num_trajectories(), 5);
     }
 
@@ -523,8 +481,8 @@ mod tests {
         let grid = CellGrid::new(0);
         assert!(grid.is_empty());
         assert_eq!(grid.to_trajectories(), Vec::<Trajectory>::new());
-        let mut arena = TrajectoryArena::new(0, 5);
+        let arena = TrajectoryArena::new(0, 5);
         assert_eq!(arena.num_trajectories(), 0);
-        assert!(arena.chunks_of_rows_mut(4).is_empty());
+        assert!(arena.as_cells().is_empty());
     }
 }

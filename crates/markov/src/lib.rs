@@ -73,7 +73,7 @@ pub mod stationary;
 
 pub use cell::CellId;
 pub use chain::MarkovChain;
-pub use columnar::{ArenaRowsMut, CellGrid, TrajectoryArena};
+pub use columnar::{CellGrid, TrajectoryArena};
 pub use distribution::StateDistribution;
 pub use epoch::EpochSchedule;
 pub use error::MarkovError;

@@ -26,10 +26,6 @@ pub enum SimError {
         found: usize,
         /// The slot being recorded when the mismatch was detected.
         slot: usize,
-        /// The user owning the first divergent service index, when the
-        /// log knows the fleet's per-user layout (the last user when
-        /// extra locations overflow the fleet).
-        user: Option<usize>,
     },
     /// A fleet-wide chaff budget (or service count derived from it)
     /// overflowed `usize`: a large per-user budget times a large
@@ -74,17 +70,10 @@ impl fmt::Display for SimError {
                 expected,
                 found,
                 slot,
-                user,
-            } => {
-                write!(
-                    f,
-                    "observation slot {slot} has {found} locations for {expected} services"
-                )?;
-                if let Some(user) = user {
-                    write!(f, " (first divergence in user {user}'s services)")?;
-                }
-                Ok(())
-            }
+            } => write!(
+                f,
+                "observation slot {slot} has {found} locations for {expected} services"
+            ),
             SimError::BudgetOverflow { users } => {
                 write!(
                     f,

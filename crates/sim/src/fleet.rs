@@ -38,25 +38,21 @@
 //!    N)`, so the per-user service offset table is computed up front —
 //!    with checked arithmetic, so a large budget × large `N` fails
 //!    loudly ([`SimError::BudgetOverflow`]) instead of wrapping.
-//! 2. **Generate (parallel, columnar).** Users are split into contiguous
-//!    shards; each shard thread simulates its users slot by slot
-//!    (always-follow placement, per-user chaff controllers) directly
-//!    into its own columnar arena of the [`ShardedObservationLog`] and
-//!    its row range of the ground-truth [`TrajectoryArena`] — one
-//!    contiguous 4-byte-per-cell allocation per shard, no
-//!    per-trajectory `Vec`s. Every user draws from an RNG seeded by
+//! 2. **One block.** [`FleetSimulation::run_chaffed`] advances the
+//!    streaming engine's simulation core (see [`crate::streaming`]) by
+//!    one block of the whole horizon: one sharded lane pass fills the
+//!    slot-major planned grid (always-follow placement, per-user chaff
+//!    controllers), an optional capacity replay places it row by row
+//!    through one shared [`MecNetwork`](crate::network::MecNetwork) in
+//!    global service order (spilling to the nearest free node exactly
+//!    like the single-user simulator), and one sharded gather writes the
+//!    observed [`CellGrid`] through the inverse of one global
+//!    Fisher–Yates permutation. Every user draws from an RNG seeded by
 //!    SplitMix64 over `(fleet seed, user index)`, and every chaff from
 //!    its own stream over `(fleet seed, user, chaff)` — so results are
-//!    bit-identical for every shard count, growing the fleet never
-//!    perturbs existing users' streams, and growing a user's chaff
-//!    budget never perturbs the user's own trajectory.
-//! 3. **Capacity replay (sequential, only when a capacity is set).** The
-//!    planned placements are replayed through one shared [`MecNetwork`]
-//!    in global service order, spilling to the nearest free node exactly
-//!    like the single-user simulator.
-//! 4. **Anonymize.** One Fisher–Yates permutation across all services,
-//!    driven by the fleet seed, scattered into one slot-major
-//!    [`CellGrid`].
+//!    bit-identical for every shard count and block size, growing the
+//!    fleet never perturbs existing users' streams, and growing a user's
+//!    chaff budget never perturbs the user's own trajectory.
 //!
 //! The outcome pairs with the streaming columnar detection core
 //! (`chaff_core::detector::BatchPrefixDetector`, whose unified
@@ -65,26 +61,18 @@
 //! and persists through `chaff-store` (see [`crate::persist`]) for
 //! checkpoint/resume at `N = 10⁶–10⁷`.
 
-use crate::network::MecNetwork;
-use crate::observer::ShardedObservationLog;
+use crate::streaming::FleetCore;
 use crate::{Result, SimError};
 use chaff_core::strategy::{
     CmlController, EpochChains, ImController, MoController, OnlineChaffController,
 };
-use chaff_markov::{CellGrid, CellId, MarkovChain, MobilityRegistry, TrajectoryArena};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use chaff_markov::{CellGrid, MarkovChain, MobilityRegistry, TrajectoryArena};
 
 /// Fleet configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetConfig {
     /// Number of independent users `N`.
     pub num_users: usize,
-    /// Chaff services launched per user by the *uniform legacy path*
-    /// ([`FleetSimulation::run_online`]); [`FleetSimulation::run_chaffed`]
-    /// takes budgets from its [`FleetChaffPolicy`] instead and requires
-    /// this to stay 0.
-    pub chaffs_per_user: usize,
     /// Number of slots to simulate.
     pub horizon: usize,
     /// Optional uniform per-MEC service capacity, shared by the whole
@@ -106,19 +94,12 @@ impl FleetConfig {
     pub fn new(num_users: usize, horizon: usize) -> Self {
         FleetConfig {
             num_users,
-            chaffs_per_user: 0,
             horizon,
             node_capacity: None,
             anonymize: true,
             seed: 0,
             shards: None,
         }
-    }
-
-    /// Sets the number of chaffs per user (uniform legacy path only).
-    pub fn with_chaffs(mut self, chaffs_per_user: usize) -> Self {
-        self.chaffs_per_user = chaffs_per_user;
-        self
     }
 
     /// Sets the shared per-node capacity.
@@ -144,19 +125,6 @@ impl FleetConfig {
     pub fn without_anonymization(mut self) -> Self {
         self.anonymize = false;
         self
-    }
-
-    /// Services per user (the real one plus its uniform chaffs) on the
-    /// legacy uniform path.
-    pub fn services_per_user(&self) -> usize {
-        1 + self.chaffs_per_user
-    }
-
-    /// Total services across the fleet under the uniform budget (policy
-    /// runs compute the true total from their allocation, with checked
-    /// arithmetic; this display-oriented helper saturates instead).
-    pub fn num_services(&self) -> usize {
-        self.num_users.saturating_mul(self.services_per_user())
     }
 
     pub(crate) fn validate(&self) -> Result<()> {
@@ -206,8 +174,8 @@ pub enum FleetChaffStrategy {
 impl FleetChaffStrategy {
     /// Builds the per-slot controller for one chaff over `chain`.
     ///
-    /// The box is `Send` because the streaming engine advances chaff lanes
-    /// on pool workers.
+    /// The box is `Send` because the lane pass advances chaff lanes on
+    /// pool workers.
     pub fn controller<'a>(
         self,
         chain: &'a MarkovChain,
@@ -233,8 +201,8 @@ impl FleetChaffStrategy {
     /// whose epochs hold identical chains replays the stationary seed
     /// stream bit for bit.
     ///
-    /// The box is `Send` because the streaming engine advances chaff lanes
-    /// on pool workers.
+    /// The box is `Send` because the lane pass advances chaff lanes on
+    /// pool workers.
     pub fn scheduled_controller<'a>(
         self,
         registry: &'a MobilityRegistry,
@@ -659,9 +627,8 @@ pub struct FleetOutcome {
 }
 
 /// The mobility substrate a fleet runs on: one shared chain, or a
-/// registry of model classes. Shared with the slot-at-a-time engine in
-/// [`crate::streaming`], which must mirror the batch engine's class
-/// lookups exactly.
+/// registry of model classes (the simulation core in
+/// [`crate::streaming`] draws from it).
 #[derive(Clone, Copy)]
 pub(crate) enum FleetModel<'a> {
     /// Every user moves by the same chain.
@@ -764,32 +731,14 @@ impl<'a> FleetSimulation<'a> {
 
     /// Runs a fleet with no chaff services: every user's protection comes
     /// from the other users (the paper's natural-chaff observation).
+    /// This is [`run_chaffed`](FleetSimulation::run_chaffed) under a
+    /// zero-budget policy.
     ///
     /// # Errors
     ///
-    /// Propagates configuration and capacity errors; rejects a config
-    /// with `chaffs_per_user > 0` (those need
-    /// [`run_online`](FleetSimulation::run_online) or
-    /// [`run_chaffed`](FleetSimulation::run_chaffed)).
+    /// Propagates configuration and capacity errors.
     pub fn run_natural(self) -> Result<FleetOutcome> {
-        if self.config.chaffs_per_user != 0 {
-            return Err(SimError::InvalidConfig {
-                parameter: "chaffs_per_user",
-                reason: "run_natural simulates chaff-free fleets; use run_online".into(),
-            });
-        }
-        // Zero budgets mean the factory is never consulted; if a layout
-        // bug ever asked for a controller anyway, that surfaces as a
-        // typed error instead of a panic.
-        self.run_with(
-            |_| 0,
-            |user, _| {
-                Err(SimError::InvalidConfig {
-                    parameter: "chaffs_per_user",
-                    reason: format!("natural fleet requested a chaff controller for user {user}"),
-                })
-            },
-        )
+        self.run_chaffed(&FleetChaffPolicy::uniform(FleetChaffStrategy::Im, 0))
     }
 
     /// Runs the fleet under a chaff policy: each user gets the strategy
@@ -798,327 +747,21 @@ impl<'a> FleetSimulation<'a> {
     /// stream. A policy whose budgets are all zero reproduces
     /// [`run_natural`](FleetSimulation::run_natural) bit-for-bit.
     ///
+    /// The whole horizon is one block of the streaming engine's
+    /// simulation core (see [`crate::streaming`]): one lane pass, one
+    /// capacity replay or migration count, one gather into the observed
+    /// grid.
+    ///
     /// # Errors
     ///
     /// Propagates configuration and capacity errors; rejects class-based
-    /// policies whose tables do not match the fleet's class count, and a
-    /// config with nonzero `chaffs_per_user` (ambiguous with the policy).
+    /// or adaptive policies whose tables do not match the fleet's class
+    /// count or size.
     pub fn run_chaffed(self, policy: &FleetChaffPolicy) -> Result<FleetOutcome> {
-        if self.config.chaffs_per_user != 0 {
-            return Err(SimError::InvalidConfig {
-                parameter: "chaffs_per_user",
-                reason: "run_chaffed takes budgets from the policy; leave chaffs_per_user at 0"
-                    .into(),
-            });
-        }
-        policy.validate(self.model.num_classes(), self.config.num_users)?;
-        let n = self.config.num_users;
-        let model = self.model;
-        self.run_with(
-            |user| policy.budget_of(user, model.class_of(user), n),
-            |user, _chaff| {
-                let class = model.class_of(user);
-                let strategy = policy.strategy_of(class);
-                // Time-varying fleets step one continuous controller
-                // against the epoch-active chains; the stationary path
-                // (every fleet until now) keeps the bare controller —
-                // bit-for-bit the old stream.
-                Ok(match model {
-                    FleetModel::Heterogeneous(r) if !r.is_stationary() => {
-                        strategy.scheduled_controller(r, class)
-                    }
-                    _ => strategy.controller(model.chain_of(user)),
-                })
-            },
-        )
-    }
-
-    /// Runs the fleet with the uniform legacy interface:
-    /// `make_controller(user, chaff)` builds the online chaff controller
-    /// for chaff `chaff` of user `user`, and every user launches
-    /// `config.chaffs_per_user` chaffs. The factory is called from worker
-    /// threads (hence `Sync`) and must be deterministic in its arguments —
-    /// all randomness should come from the per-slot RNG the controller
-    /// receives (each chaff has its own deterministic stream).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and capacity errors.
-    pub fn run_online<F>(self, make_controller: F) -> Result<FleetOutcome>
-    where
-        F: Fn(usize, usize) -> Box<dyn OnlineChaffController + 'a> + Sync,
-    {
-        let uniform = self.config.chaffs_per_user;
-        self.run_with(|_| uniform, |user, chaff| Ok(make_controller(user, chaff)))
-    }
-
-    /// The shared driver: `budget_of(user)` chaffs per user, controllers
-    /// from `make_controller`.
-    fn run_with<B, F>(self, budget_of: B, make_controller: F) -> Result<FleetOutcome>
-    where
-        B: Fn(usize) -> usize + Sync,
-        F: Fn(usize, usize) -> Result<Box<dyn OnlineChaffController + 'a>> + Sync,
-    {
-        self.config.validate()?;
-        let service_starts = self.service_layout(&budget_of)?;
-        let (user_cells, planned) = self.generate(&service_starts, &make_controller)?;
-        self.assemble(user_cells, planned, &service_starts)
-    }
-
-    /// Phase 1 (layout): the per-user service offset table — see
-    /// [`service_layout`]. Budgets are pure functions of the user index,
-    /// so the whole layout exists before any worker starts.
-    fn service_layout<B>(&self, budget_of: &B) -> Result<Vec<usize>>
-    where
-        B: Fn(usize) -> usize + Sync,
-    {
-        service_layout(self.config.num_users, self.config.horizon, budget_of)
-    }
-
-    /// Phase 2: per-user trajectory generation, sharded over users.
-    /// Each worker fills one columnar arena of the planned observation
-    /// log plus its row range of the ground-truth arena — zero
-    /// per-trajectory allocations.
-    fn generate<F>(
-        &self,
-        service_starts: &[usize],
-        make_controller: &F,
-    ) -> Result<(TrajectoryArena, ShardedObservationLog)>
-    where
-        F: Fn(usize, usize) -> Result<Box<dyn OnlineChaffController + 'a>> + Sync,
-    {
-        let n = self.config.num_users;
         let horizon = self.config.horizon;
-        let shards = self.config.effective_shards();
-        let chunk = n.div_ceil(shards);
-        // Worker `w` owns users `w * chunk..` and, through the offset
-        // table, their contiguous service range.
-        let user_ranges: Vec<(usize, usize)> = (0..shards)
-            .map(|w| (w * chunk, ((w + 1) * chunk).min(n)))
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
-        let mut shard_starts: Vec<usize> = user_ranges
-            .iter()
-            .map(|&(lo, _)| service_starts[lo])
-            .collect();
-        shard_starts.push(service_starts[n]);
-        let mut planned = ShardedObservationLog::with_shard_starts(shard_starts, horizon)?;
-        let mut user_cells = TrajectoryArena::new(n, horizon);
-        let results: Vec<Result<()>> = {
-            let arenas = planned.arenas_mut();
-            let chunks = user_cells.chunks_of_rows_mut(chunk);
-            let workers = user_ranges.iter().zip(chunks).zip(arenas);
-            if user_ranges.len() <= 1 {
-                workers
-                    .map(|((&range, mut rows), (service_lo, arena))| {
-                        self.fill_shard(
-                            range,
-                            &mut rows,
-                            arena,
-                            service_lo,
-                            service_starts,
-                            make_controller,
-                        )
-                    })
-                    .collect()
-            } else {
-                // Generation shards run on the process-wide worker pool
-                // (no per-run thread spawns); the pool re-raises worker
-                // panics lowest shard first.
-                let mut slots: Vec<Option<Result<()>>> = user_ranges.iter().map(|_| None).collect();
-                chaff_core::pool::global().scope(|scope| {
-                    for (((&range, mut rows), (service_lo, arena)), slot) in
-                        workers.zip(slots.iter_mut())
-                    {
-                        let this = &*self;
-                        scope.spawn(move || {
-                            *slot = Some(this.fill_shard(
-                                range,
-                                &mut rows,
-                                arena,
-                                service_lo,
-                                service_starts,
-                                make_controller,
-                            ));
-                        });
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("pool scope ran every generation shard"))
-                    .collect()
-            }
-        };
-        // Collect in shard order so the lowest erroring user wins
-        // deterministically.
-        for result in results {
-            result?;
-        }
-        Ok((user_cells, planned))
-    }
-
-    /// One worker's generation pass over users `ulo..uhi`.
-    fn fill_shard<F>(
-        &self,
-        (ulo, uhi): (usize, usize),
-        rows: &mut chaff_markov::ArenaRowsMut<'_>,
-        arena: &mut CellGrid,
-        service_lo: usize,
-        service_starts: &[usize],
-        make_controller: &F,
-    ) -> Result<()>
-    where
-        F: Fn(usize, usize) -> Result<Box<dyn OnlineChaffController + 'a>> + Sync,
-    {
-        for (j, user) in (ulo..uhi).enumerate() {
-            let budget = service_starts[user + 1] - service_starts[user] - 1;
-            let col = service_starts[user] - service_lo;
-            self.simulate_user_into(user, budget, make_controller, rows.row_mut(j), arena, col)?;
-        }
-        Ok(())
-    }
-
-    /// Simulates one user: strictly causal per-slot moves with
-    /// always-follow placement, mirroring `Simulation::run_online`,
-    /// written straight into the columnar arenas. The user and each
-    /// chaff draw from separate deterministic streams, so the chaff
-    /// budget never perturbs the user's own trajectory.
-    fn simulate_user_into<F>(
-        &self,
-        user: usize,
-        budget: usize,
-        make_controller: &F,
-        user_row: &mut [CellId],
-        services: &mut CellGrid,
-        col: usize,
-    ) -> Result<()>
-    where
-        F: Fn(usize, usize) -> Result<Box<dyn OnlineChaffController + 'a>> + Sync,
-    {
-        let mut rng = StdRng::seed_from_u64(user_seed(self.config.seed, user as u64));
-        let mut chaff_lanes: Vec<(Box<dyn OnlineChaffController + 'a>, StdRng)> = (0..budget)
-            .map(|c| {
-                let seed = chaff_seed(self.config.seed, user as u64, c as u64);
-                Ok((make_controller(user, c)?, StdRng::seed_from_u64(seed)))
-            })
-            .collect::<Result<_>>()?;
-        let mut user_now: Option<CellId> = None;
-        for (slot, user_slot) in user_row.iter_mut().enumerate() {
-            // The arrival at `slot` is drawn from that slot's epoch-active
-            // chain. Every chain consumes exactly one draw per step, so a
-            // one-epoch model replays the stationary stream bit-for-bit.
-            let chain = self.model.chain_at_slot(user, slot);
-            let cell = match user_now {
-                None => chain.initial().sample(&mut rng),
-                Some(prev) => chain.step(prev, &mut rng),
-            };
-            user_now = Some(cell);
-            *user_slot = cell;
-            // Always-follow: the real service co-locates with the user.
-            services.set(slot, col, cell);
-            for (lane, (controller, chaff_rng)) in chaff_lanes.iter_mut().enumerate() {
-                services.set(slot, col + 1 + lane, controller.next(cell, &[], chaff_rng));
-            }
-        }
-        Ok(())
-    }
-
-    /// Phases 3–4: optional shared-capacity replay, then one global
-    /// anonymization shuffle.
-    fn assemble(
-        &self,
-        user_cells: TrajectoryArena,
-        planned: ShardedObservationLog,
-        service_starts: &[usize],
-    ) -> Result<FleetOutcome> {
-        let n = self.config.num_users;
-        let horizon = self.config.horizon;
-        let num_services = planned.num_services();
-        let mut stats = FleetStats {
-            migrations: 0,
-            spills: 0,
-            user_slots: n * horizon,
-            chaff_services: num_services - n,
-        };
-        let log = if let Some(capacity) = self.config.node_capacity {
-            self.replay_with_capacity(&planned, service_starts, capacity, &mut stats)?
-        } else {
-            // Fast path: without capacity limits the planned placement is
-            // the actual placement; count migrations row against row
-            // (contiguous columnar compares, no per-trajectory walk).
-            for arena in planned.shard_grids() {
-                for t in 1..arena.horizon() {
-                    stats.migrations += arena
-                        .row(t)
-                        .iter()
-                        .zip(arena.row(t - 1))
-                        .filter(|(now, prev)| now != prev)
-                        .count();
-                }
-            }
-            planned
-        };
-        let (observed, user_observed_indices) = if self.config.anonymize {
-            let mut rng = StdRng::seed_from_u64(shuffle_seed(self.config.seed));
-            let (observed, perm) = log.into_anonymized(&mut rng);
-            let indices = (0..n).map(|u| perm[service_starts[u]]).collect();
-            (observed, indices)
-        } else {
-            let observed = log.into_ordered()?;
-            let indices = service_starts[..n].to_vec();
-            (observed, indices)
-        };
-        Ok(FleetOutcome {
-            observed,
-            user_observed_indices,
-            user_cells,
-            stats,
-        })
-    }
-
-    /// Sequential replay through one shared MEC network: services are
-    /// visited in global index order per slot, so spills are deterministic
-    /// and identical for every shard count.
-    fn replay_with_capacity(
-        &self,
-        planned: &ShardedObservationLog,
-        service_starts: &[usize],
-        capacity: usize,
-        stats: &mut FleetStats,
-    ) -> Result<ShardedObservationLog> {
-        let horizon = self.config.horizon;
-        let num_services = planned.num_services();
-        let mut network = MecNetwork::new(self.model.num_states(), Some(capacity))?;
-        let mut log = ShardedObservationLog::new(num_services, self.config.effective_shards())
-            .with_user_layout(service_starts.to_vec());
-        let mut actual: Vec<CellId> = Vec::with_capacity(num_services);
-        let mut desired_row: Vec<CellId> = Vec::with_capacity(num_services);
-        let mut locations = Vec::with_capacity(num_services);
-        for slot in 0..horizon {
-            planned.copy_slot_into(slot, &mut desired_row);
-            locations.clear();
-            for (service, &desired) in desired_row.iter().enumerate() {
-                let placed = if slot == 0 {
-                    let cell = network.place_nearest(desired)?;
-                    actual.push(cell);
-                    cell
-                } else {
-                    let prev = actual[service];
-                    let cell = network.migrate(prev, desired)?;
-                    if cell != prev {
-                        stats.migrations += 1;
-                    }
-                    actual[service] = cell;
-                    cell
-                };
-                if placed != desired {
-                    stats.spills += 1;
-                }
-                locations.push(placed);
-            }
-            log.record_slot(&locations)?;
-        }
-        Ok(log)
+        let mut core = FleetCore::new(self.model, self.config, policy)?;
+        core.advance(horizon)?;
+        core.into_outcome()
     }
 }
 
@@ -1141,9 +784,7 @@ pub fn chaff_seed(base: u64, user: u64, chaff: u64) -> u64 {
 }
 
 /// Seed stream for the anonymization shuffle (kept separate from user
-/// streams so adding users never perturbs the permutation draw). Shared
-/// with [`crate::streaming`], whose up-front permutation must be the
-/// batch engine's draw bit-for-bit.
+/// streams so adding users never perturbs the permutation draw).
 pub(crate) fn shuffle_seed(base: u64) -> u64 {
     user_seed(base, 0xF1EE_7000_0000_0001)
 }
@@ -1152,9 +793,7 @@ pub(crate) fn shuffle_seed(base: u64) -> u64 {
 /// `starts[u]..starts[u + 1]` (real service first, then its chaffs).
 /// Checked arithmetic throughout — oversized budgets fail typed
 /// ([`SimError::BudgetOverflow`]) before any allocation, including the
-/// `total × horizon` cell count the columnar stores would need. Shared by
-/// the batch engine and [`crate::streaming`], so both lay services out
-/// identically.
+/// `total × horizon` cell count the columnar stores would need.
 pub(crate) fn service_layout<B>(
     num_users: usize,
     horizon: usize,
@@ -1179,7 +818,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chaff_core::strategy::{CmlController, ImController};
 
     fn chain(seed: u64) -> MarkovChain {
         crate::test_support::nonskewed_chain(seed, 10)
@@ -1232,11 +870,11 @@ mod tests {
     fn chaff_controllers_run_per_user() {
         let c = chain(3);
         let config = FleetConfig::new(6, 10)
-            .with_chaffs(2)
             .with_seed(11)
             .without_anonymization();
+        let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Cml, 2);
         let outcome = FleetSimulation::new(&c, config)
-            .run_online(|_, _| Box::new(CmlController::new(&c)))
+            .run_chaffed(&policy)
             .unwrap();
         assert_eq!(outcome.observed.num_trajectories(), 6 * 3);
         assert_eq!(outcome.stats.chaff_services, 12);
@@ -1261,12 +899,12 @@ mod tests {
     fn capacity_one_keeps_services_disjoint() {
         let c = chain(4);
         let config = FleetConfig::new(3, 8)
-            .with_chaffs(1)
             .with_capacity(1)
             .with_seed(7)
             .without_anonymization();
+        let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Im, 1);
         let outcome = FleetSimulation::new(&c, config)
-            .run_online(|_, _| Box::new(ImController::new(&c)))
+            .run_chaffed(&policy)
             .unwrap();
         for t in 0..8 {
             let mut cells: Vec<usize> = outcome.observed.row(t).iter().map(|c| c.index()).collect();
@@ -1302,18 +940,6 @@ mod tests {
         assert!(FleetSimulation::new(&c, FleetConfig::new(5, 0))
             .run_natural()
             .is_err());
-        assert!(
-            FleetSimulation::new(&c, FleetConfig::new(5, 5).with_chaffs(1))
-                .run_natural()
-                .is_err()
-        );
-        // run_chaffed rejects the ambiguous uniform legacy knob.
-        let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Im, 1);
-        assert!(
-            FleetSimulation::new(&c, FleetConfig::new(5, 5).with_chaffs(1))
-                .run_chaffed(&policy)
-                .is_err()
-        );
     }
 
     #[test]
@@ -1332,7 +958,7 @@ mod tests {
     }
 
     #[test]
-    fn uniform_policy_launches_budget_chaffs_per_user() {
+    fn uniform_policy_launches_its_budget_for_every_user() {
         let c = chain(8);
         let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Im, 3);
         let outcome = FleetSimulation::new(&c, FleetConfig::new(7, 9).with_seed(13))

@@ -18,12 +18,15 @@
 //! * [`sim`] — the single-user driver, in two modes: fully online
 //!   (per-slot chaff controllers) and planned (offline strategies like OO
 //!   that need the user's whole trajectory);
-//! * [`fleet`] — the fleet engine: sharded simulation of thousands to
-//!   hundreds of thousands of concurrent users through one shared MEC
-//!   world, paired with the batched detection core in `chaff-core`;
-//! * [`streaming`] — the online counterpart: the same fleet advanced one
-//!   slot at a time with incremental detection and a horizon-independent
-//!   memory bound, bit-for-bit equal to the batch pipeline;
+//! * [`fleet`] — fleet configuration, chaff policies and the batch
+//!   driver: sharded simulation of thousands to millions of concurrent
+//!   users through one shared MEC world, run as one whole-horizon block
+//!   and paired with the batched detection core in `chaff-core`;
+//! * [`streaming`] — the fleet engine itself: one simulation core that
+//!   advances the fleet a block of slots at a time, and the online
+//!   driver that advances it one slot at a time with incremental
+//!   detection and a horizon-independent memory bound, bit-for-bit equal
+//!   to the batch pipeline;
 //! * [`persist`] — checkpoint / restore through the paged on-disk store
 //!   (`chaff-store`): batch outcomes persist slot by slot, the streaming
 //!   engine appends as it runs, and either file restores bit-for-bit.

@@ -1,20 +1,22 @@
-//! Checkpoint / resume bridge between the fleet engines and the
-//! persistent paged store (`chaff-store`, ISSUE 8).
+//! Checkpoint / resume bridge between the fleet engine and the
+//! persistent paged store (`chaff-store`).
 //!
-//! Two write paths mirror the two fleet engines:
+//! Two write paths, one per way of driving the engine:
 //!
-//! * [`FleetOutcome::checkpoint`] — persist a finished batch run; the
-//!   in-memory arenas are walked slot by slot, so the only extra
-//!   allocation is one user row of scratch.
+//! * [`FleetOutcome::checkpoint`] — persist a finished
+//!   [`FleetSimulation::run_chaffed`](crate::fleet::FleetSimulation::run_chaffed)
+//!   outcome; the in-memory arenas are walked slot by slot, so the only
+//!   extra allocation is one user row of scratch.
 //! * [`StreamingFleetEngine::run_to_store`] — drive a fresh streaming
 //!   engine to its horizon, appending every slot as it is produced. The
 //!   `N × T` grid never exists in memory on this path: the writer holds
 //!   at most one partial page per section, the engine one ring of
 //!   recent rows.
 //!
-//! [`FleetOutcome::restore`] is the inverse of both: because the
-//! streamed engine is bit-for-bit equal to the batch engine, a store
-//! written by either path restores to the same [`FleetOutcome`].
+//! [`FleetOutcome::restore`] is the inverse of both: `run_chaffed`
+//! advances the same simulation core in one whole-horizon block that
+//! the streaming engine advances one slot at a time, so a store written
+//! by either path restores to the same [`FleetOutcome`].
 //!
 //! A run killed before `finish` leaves a footer-less file that
 //! [`FleetStoreReader::open`] rejects as `StoreError::Truncated`
@@ -66,9 +68,9 @@ impl FleetOutcome {
             num_services,
             num_users,
             horizon,
-            // The sharded log's boundaries are an artifact of generation
-            // parallelism, erased by the anonymization shuffle; a
-            // finished outcome persists the trivial single-shard table.
+            // Shard boundaries are an artifact of parallelism, erased by
+            // the anonymization shuffle; every outcome persists the
+            // trivial single-shard table.
             shard_starts: vec![0, num_services],
             user_observed_indices: self.user_observed_indices.clone(),
         };
@@ -112,7 +114,7 @@ impl StreamingFleetEngine<'_> {
     ///
     /// Memory stays horizon-independent: the engine's ring plus at most
     /// one partial page per store section. The resulting file restores
-    /// ([`FleetOutcome::restore`]) to exactly the batch engine's outcome
+    /// ([`FleetOutcome::restore`]) to exactly the `run_chaffed` outcome
     /// for the same configuration and policy.
     ///
     /// # Errors

@@ -1,62 +1,78 @@
-//! The slot-at-a-time fleet engine: simulation, chaff injection,
-//! anonymization and online detection fused into one causal loop.
+//! The fleet engine: simulation, chaff injection, anonymization and —
+//! slot by slot — online detection.
 //!
-//! [`crate::fleet::FleetSimulation`] is batch-shaped: simulate the whole
-//! horizon, then hand the finished [`chaff_markov::CellGrid`]
-//! to the detector. The
-//! paper's eavesdropper (eq. 11) is *online* — it observes one service
-//! row per slot — and a real deployment never has the future.
-//! [`StreamingFleetEngine`] advances one slot at a time:
+//! The paper's eavesdropper (eq. 11) is *online* — it observes one
+//! service row per slot — and a real deployment never has the future.
+//! One simulation core, `FleetCore`, advances the whole fleet by a
+//! **block of `k` slots** at a time; both public drivers are thin
+//! wrappers over it:
+//!
+//! * [`StreamingFleetEngine`] advances one-slot blocks and feeds each
+//!   observed row to an online detector;
+//! * [`FleetSimulation::run_chaffed`](crate::fleet::FleetSimulation::run_chaffed)
+//!   advances one block of the whole horizon and keeps the grid.
+//!
+//! One block runs four phases:
 //!
 //! 1. **Draw / ingest and chaff (one lane pass).** For each user, its
-//!    next cell comes from its mobility chain
-//!    ([`step`](StreamingFleetEngine::step)) or from an external
-//!    per-slot feed ([`step_ingested`](StreamingFleetEngine::step_ingested),
-//!    e.g. a quantized trace stream); the real service follows it, and
-//!    each of the user's chaff lanes advances its
-//!    [`OnlineChaffController`] with its own RNG stream. The pass runs
-//!    over the contiguous user shards of the fleet's shard count on
-//!    [`chaff_core::pool::global`] (inline when there is one shard).
+//!    next `k` cells come from its mobility chain
+//!    ([`step`](StreamingFleetEngine::step)) or, for `k = 1`, from an
+//!    external per-slot feed
+//!    ([`step_ingested`](StreamingFleetEngine::step_ingested), e.g. a
+//!    quantized trace stream); the real service follows it, and each of
+//!    the user's chaff lanes then steps its [`OnlineChaffController`]
+//!    `k` times with its own RNG stream. The pass runs over the
+//!    contiguous user shards of the fleet's shard count on
+//!    [`chaff_core::pool::global`] (inline when there is one shard);
+//!    each shard writes its column range of each of the `k` slot-major
+//!    planned rows.
 //! 2. **Place.** Optional shared-capacity replay through one
-//!    [`MecNetwork`], exactly like the batch engine's sequential replay;
-//!    the placed cells overwrite the planned row.
-//! 3. **Anonymize.** The slot row is gathered through the inverse of the
-//!    fleet's Fisher–Yates permutation (drawn once, up front, from the
-//!    same seed stream as the batch engine):
-//!    `observed[j] = planned[source[j]]`, over disjoint output chunks on
-//!    the pool.
-//! 4. **Detect.** The row feeds a
+//!    [`MecNetwork`], row by row in global service order; the placed
+//!    cells overwrite the planned rows. Without a capacity the planned
+//!    rows are the placement and migrations are a sharded row-against-row
+//!    count.
+//! 3. **Anonymize.** Every row is gathered through the inverse of the
+//!    fleet's Fisher–Yates permutation (drawn once, up front, from a
+//!    dedicated seed stream): `observed[j] = planned[source[j]]`, over
+//!    disjoint column chunks of the `k × width` output on the pool.
+//! 4. **Detect (streaming engine only).** The row feeds a
 //!    [`StreamingPrefixDetector`], which shares the batch detector's
 //!    per-slot kernel — and the slot's tracking/detection accuracy is
 //!    computed incrementally from the row and the returned tie set.
 //!
-//! Because every random draw comes from the same per-user / per-chaff /
-//! shuffle seed streams as the batch engine, and the detector shares the
-//! batch per-slot kernel, a streamed run is **bit-for-bit** the batch
-//! `run_chaffed` + unified `detect_prefixes` pipeline —
-//! proptested across shard counts, budgets and mobility classes in
-//! `tests/streaming_equivalence.rs`.
+//! Every random draw comes from the per-user / per-chaff / shuffle seed
+//! streams, so the block size cannot change a bit: a streamed run is
+//! **bit-for-bit** the batch `run_chaffed` + unified `detect_prefixes`
+//! pipeline, proptested across shard counts, budgets and mobility
+//! classes in `tests/streaming_equivalence.rs`, and `tests/reference_fleet.rs`
+//! checks the core against an independent per-user reference.
 //!
-//! # Shard independence
+//! # Shard and block independence
 //!
 //! The sharded phases cannot change a single bit of output. Every user
 //! lane and every chaff lane owns its own `StdRng` stream and its own
 //! controller state, and a lane writes only its own planned columns, so
 //! which shard (or thread) advances a lane — and in what order relative
-//! to other lanes — cannot change what it draws. The gather writes each
-//! observed column from exactly one planned column, a pure copy. The
-//! capacity replay, whose placements depend on service order, stays one
-//! sequential loop. `tests/lane_shards.rs` pins this across shard counts.
+//! to other lanes — cannot change what it draws. For the same reason a
+//! lane may run `k` slots ahead of its neighbours: a chaff controller
+//! reads only its own user's cell of the same slot. The arrival at
+//! absolute slot `s` is always drawn from `s`'s epoch-active chain. The
+//! gather writes each observed column from exactly one planned column,
+//! a pure copy. The capacity replay, whose placements depend on service
+//! order, stays one sequential loop. `tests/lane_shards.rs` pins shard
+//! counts; a unit test below pins block sizes.
 //!
 //! # Memory bound
 //!
-//! The engine never materializes the `N × T` grid. It holds the
-//! detector's running scores (`O(N · classes)`), one previous planned
-//! row, a handful of row scratch buffers, per-user RNG/controller state
+//! The streaming engine never materializes the `N × T` grid. It holds
+//! the detector's running scores (`O(N · classes)`), one previous planned
+//! row, a handful of one-row block buffers, per-user RNG/controller state
 //! (`O(N)`), and a bounded ring of the most recent observed rows
 //! (`O(width · ring_depth)`, [`ring_depth`](StreamingFleetEngine::ring_depth)
 //! rows deep) for consumers that want a trailing window — `O(width ·
-//! ring_depth + N)` total, independent of the horizon.
+//! ring_depth + N)` total, independent of the horizon. A whole-horizon
+//! block holds the planned and observed grids, and `run_chaffed` drops
+//! the planned one before it returns.
 //!
 //! Errors on ingest ([`SimError::StreamFault`]) are detected *before*
 //! any engine state advances, so a broken or truncated stream leaves a
@@ -64,14 +80,16 @@
 
 use crate::fleet::{
     chaff_seed, service_layout, shuffle_seed, user_seed, BudgetAllocation, FleetChaffPolicy,
-    FleetConfig, FleetModel, FleetStats,
+    FleetConfig, FleetModel, FleetOutcome, FleetStats,
 };
 use crate::network::MecNetwork;
 use crate::observer::fisher_yates;
 use crate::{Result, SimError};
 use chaff_core::detector::{Detection, StreamingPrefixDetector};
 use chaff_core::strategy::OnlineChaffController;
-use chaff_markov::{CellId, LogLikelihoodTable, MarkovChain, MobilityRegistry};
+use chaff_markov::{
+    CellGrid, CellId, LogLikelihoodTable, MarkovChain, MobilityRegistry, TrajectoryArena,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -108,6 +126,394 @@ struct UserLane<'a> {
     /// Chaff controllers with their independent RNG streams, in lane
     /// order. `Send`, so the lane pass can advance them on pool workers.
     chaffs: Vec<(Box<dyn OnlineChaffController + Send + 'a>, StdRng)>,
+}
+
+/// The detection-free fleet simulation: per-user lanes, layout,
+/// anonymizing permutation and shared network, advanced a block of
+/// slots at a time (see the module docs).
+pub(crate) struct FleetCore<'a> {
+    model: FleetModel<'a>,
+    config: FleetConfig,
+    service_starts: Vec<usize>,
+    num_services: usize,
+    /// `source[observed]` = the planned (pre-shuffle) service shown at
+    /// that observed position: the inverse of the anonymization
+    /// permutation (identity when anonymization is off).
+    source: Vec<usize>,
+    user_observed_indices: Vec<usize>,
+    users: Vec<UserLane<'a>>,
+    /// Shard count of the per-user and per-service passes (the
+    /// detector's, from [`FleetConfig`]).
+    shards: usize,
+    /// The shared network of the capacity replay.
+    network: Option<MecNetwork>,
+    /// The last placed (pre-shuffle) row before the current block: the
+    /// fast path counts migrations against it, the capacity replay
+    /// migrates from it.
+    planned_prev: Vec<CellId>,
+    /// The block's planned, then placed, rows: `k × width`, slot-major.
+    planned: Vec<CellId>,
+    /// The block's observed (post-shuffle) rows: `k × width`, slot-major.
+    observed: Vec<CellId>,
+    /// The block's user cells, user-major: user `u`'s `k` cells are
+    /// `user_cells[u * k..(u + 1) * k]`.
+    user_cells: Vec<CellId>,
+    stats: FleetStats,
+    slot: usize,
+}
+
+impl<'a> FleetCore<'a> {
+    /// Validates the fleet, lays out every user's services, seeds every
+    /// lane and draws the anonymization permutation.
+    ///
+    /// # Errors
+    ///
+    /// Rejects invalid configs, mismatched per-class or adaptive
+    /// policies and overflowing budgets.
+    pub(crate) fn new(
+        model: FleetModel<'a>,
+        config: FleetConfig,
+        policy: &FleetChaffPolicy,
+    ) -> Result<Self> {
+        config.validate()?;
+        policy.validate(model.num_classes(), config.num_users)?;
+        let n = config.num_users;
+        let service_starts = service_layout(n, config.horizon, |user| {
+            policy.budget_of(user, model.class_of(user), n)
+        })?;
+        let num_services = *service_starts.last().expect("layout has n + 1 entries");
+        // Per-user persistent state: one stream per user and per chaff,
+        // with controllers constructed in lane order.
+        let users: Vec<UserLane<'a>> = (0..n)
+            .map(|user| {
+                let budget = service_starts[user + 1] - service_starts[user] - 1;
+                let class = model.class_of(user);
+                let chaffs = (0..budget)
+                    .map(|c| {
+                        let seed = chaff_seed(config.seed, user as u64, c as u64);
+                        // A multi-epoch registry steps one continuous
+                        // controller against the epoch-active chains;
+                        // the stationary path keeps the bare controller.
+                        let strategy = policy.strategy_of(class);
+                        let controller = match model {
+                            FleetModel::Heterogeneous(r) if !r.is_stationary() => {
+                                strategy.scheduled_controller(r, class)
+                            }
+                            _ => strategy.controller(model.chain_of(user)),
+                        };
+                        (controller, StdRng::seed_from_u64(seed))
+                    })
+                    .collect();
+                UserLane {
+                    rng: StdRng::seed_from_u64(user_seed(config.seed, user as u64)),
+                    now: None,
+                    chaffs,
+                }
+            })
+            .collect();
+        // One permutation anonymizes every slot row, kept only as its
+        // inverse for the gather.
+        let perm = if config.anonymize {
+            let mut rng = StdRng::seed_from_u64(shuffle_seed(config.seed));
+            fisher_yates(num_services, &mut rng)
+        } else {
+            (0..num_services).collect()
+        };
+        let user_observed_indices: Vec<usize> = (0..n).map(|u| perm[service_starts[u]]).collect();
+        let mut source = vec![0usize; num_services];
+        for (service, &observed) in perm.iter().enumerate() {
+            source[observed] = service;
+        }
+        drop(perm);
+        let network = match config.node_capacity {
+            Some(capacity) => Some(MecNetwork::new(model.num_states(), Some(capacity))?),
+            None => None,
+        };
+        let stats = FleetStats {
+            migrations: 0,
+            spills: 0,
+            user_slots: 0,
+            chaff_services: num_services - n,
+        };
+        Ok(FleetCore {
+            model,
+            shards: config.effective_shards(),
+            config,
+            service_starts,
+            num_services,
+            source,
+            user_observed_indices,
+            users,
+            network,
+            planned_prev: vec![CellId::new(0); num_services],
+            planned: vec![CellId::new(0); num_services],
+            observed: vec![CellId::new(0); num_services],
+            user_cells: vec![CellId::new(0); n],
+            stats,
+            slot: 0,
+        })
+    }
+
+    /// Advances `k` slots, drawing every user's moves from its mobility
+    /// chain. The caller keeps `slots_run + k` within the horizon.
+    ///
+    /// # Errors
+    ///
+    /// Propagates capacity errors ([`SimError::NoCapacity`]) from the
+    /// shared-network replay.
+    pub(crate) fn advance(&mut self, k: usize) -> Result<()> {
+        debug_assert!(k >= 1 && self.slot + k <= self.config.horizon);
+        self.resize_block(k);
+        self.run_lanes(k, true);
+        self.finish_block(k)
+    }
+
+    /// Advances one slot with the (validated) user cells of that slot.
+    ///
+    /// # Errors
+    ///
+    /// Propagates capacity errors from the shared-network replay.
+    pub(crate) fn advance_ingested(&mut self, user_cells: &[CellId]) -> Result<()> {
+        self.resize_block(1);
+        self.user_cells.copy_from_slice(user_cells);
+        self.run_lanes(1, false);
+        self.finish_block(1)
+    }
+
+    /// Sizes the block buffers for `k` slots (a no-op for repeated
+    /// blocks of one size).
+    fn resize_block(&mut self, k: usize) {
+        let cells = k * self.num_services;
+        self.planned.resize(cells, CellId::new(0));
+        self.observed.resize(cells, CellId::new(0));
+        self.user_cells
+            .resize(k * self.config.num_users, CellId::new(0));
+    }
+
+    /// The lane pass: for every user, draw its `k` cells into
+    /// `user_cells` (when `draw`; the ingest path has filled them
+    /// already), record the last as the lane's position and each as the
+    /// real service's planned cell of its row, then step each of the
+    /// user's chaff controllers `k` times into its planned column. Runs
+    /// over contiguous user shards; a shard's planned columns are the
+    /// contiguous range `service_starts[lo]..service_starts[hi]` of every
+    /// row.
+    fn run_lanes(&mut self, k: usize, draw: bool) {
+        let chunk = self.config.num_users.div_ceil(self.shards);
+        let (model, slot, starts) = (self.model, self.slot, &self.service_starts);
+        let bounds: Vec<usize> = (0..self.config.num_users)
+            .step_by(chunk)
+            .map(|lo| starts[lo])
+            .chain([self.num_services])
+            .collect();
+        let rows = split_columns(&mut self.planned, self.num_services, &bounds);
+        let parts = self
+            .users
+            .chunks_mut(chunk)
+            .zip(self.user_cells.chunks_mut(chunk * k))
+            .zip(rows)
+            .enumerate()
+            .map(|(w, ((lanes, cells), rows))| (w * chunk, lanes, cells, rows));
+        run_sharded(parts, |(lo, lanes, cells, mut rows)| {
+            let base = starts[lo];
+            for ((user, lane), cells) in (lo..).zip(lanes).zip(cells.chunks_exact_mut(k)) {
+                if draw {
+                    // The arrival at absolute slot `slot + t` is drawn
+                    // from that slot's epoch-active chain.
+                    for (t, cell) in cells.iter_mut().enumerate() {
+                        let chain = model.chain_at_slot(user, slot + t);
+                        *cell = match lane.now {
+                            None => chain.initial().sample(&mut lane.rng),
+                            Some(prev) => chain.step(prev, &mut lane.rng),
+                        };
+                        lane.now = Some(*cell);
+                    }
+                } else {
+                    lane.now = cells.last().copied();
+                }
+                // Always-follow for the real service, then each chaff
+                // lane's `k` controller steps, in lane order.
+                let col = starts[user] - base;
+                for (row, &cell) in rows.iter_mut().zip(&*cells) {
+                    row[col] = cell;
+                }
+                for (c, (controller, chaff_rng)) in lane.chaffs.iter_mut().enumerate() {
+                    for (row, &cell) in rows.iter_mut().zip(&*cells) {
+                        row[col + 1 + c] = controller.next(cell, &[], chaff_rng);
+                    }
+                }
+            }
+        });
+    }
+
+    /// The block tail: placement (capacity replay row by row, or the
+    /// sharded fast-path migration count), the anonymizing gather and
+    /// the slot counters. The lane pass has filled `user_cells` and
+    /// `planned` on entry.
+    fn finish_block(&mut self, k: usize) -> Result<()> {
+        let width = self.num_services;
+        if let Some(network) = &mut self.network {
+            // Sequential capacity replay in global service order, one
+            // row at a time. The placed cell replaces the desired one,
+            // and the previous placed row is every service's current
+            // actual cell.
+            for t in 0..k {
+                let (before, rest) = self.planned.split_at_mut(t * width);
+                let prev = match t {
+                    0 => &self.planned_prev[..],
+                    _ => &before[(t - 1) * width..],
+                };
+                for (service, cell) in rest[..width].iter_mut().enumerate() {
+                    let desired = *cell;
+                    if self.slot + t == 0 {
+                        *cell = network.place_nearest(desired)?;
+                    } else {
+                        *cell = network.migrate(prev[service], desired)?;
+                        if *cell != prev[service] {
+                            self.stats.migrations += 1;
+                        }
+                    }
+                    if *cell != desired {
+                        self.stats.spills += 1;
+                    }
+                }
+            }
+        } else {
+            // Fast path: planned placement is actual placement; count
+            // migrations row against row over column chunks. Slot 0 has
+            // no previous row.
+            let first = usize::from(self.slot == 0);
+            if first < k {
+                let chunk = width.div_ceil(self.shards);
+                let (planned, planned_prev) = (&self.planned, &self.planned_prev);
+                let parts = (0..width)
+                    .step_by(chunk)
+                    .map(|lo| lo..(lo + chunk).min(width));
+                self.stats.migrations += run_sharded(parts, |columns| {
+                    (first..k)
+                        .map(|t| {
+                            let prev = match t {
+                                0 => planned_prev,
+                                _ => &planned[(t - 1) * width..t * width],
+                            };
+                            let now = &planned[t * width..(t + 1) * width];
+                            now[columns.clone()]
+                                .iter()
+                                .zip(&prev[columns.clone()])
+                                .filter(|(now, prev)| now != prev)
+                                .count()
+                        })
+                        .sum::<usize>()
+                })
+                .into_iter()
+                .sum::<usize>();
+            }
+        }
+        self.gather();
+        // The next block migrates from this block's last placed row. A
+        // one-slot block rewrites every planned cell, so the old
+        // previous row is free scratch and is swapped in, not copied.
+        if k == 1 {
+            std::mem::swap(&mut self.planned_prev, &mut self.planned);
+        } else {
+            self.planned_prev
+                .copy_from_slice(&self.planned[(k - 1) * width..]);
+        }
+        self.stats.user_slots += k * self.config.num_users;
+        self.slot += k;
+        Ok(())
+    }
+
+    /// The anonymizing gather `observed[t][j] = planned[t][source[j]]`,
+    /// over disjoint column chunks of every observed row; each chunk
+    /// reads one planned row at a time.
+    fn gather(&mut self) {
+        let width = self.num_services;
+        let chunk = width.div_ceil(self.shards);
+        let bounds: Vec<usize> = (0..width).step_by(chunk).chain([width]).collect();
+        let planned = &self.planned;
+        let parts = split_columns(&mut self.observed, width, &bounds)
+            .into_iter()
+            .zip(self.source.chunks(chunk));
+        run_sharded(parts, |(rows, source)| {
+            for (row, planned) in rows.into_iter().zip(planned.chunks_exact(width)) {
+                for (cell, &service) in row.iter_mut().zip(source) {
+                    *cell = planned[service];
+                }
+            }
+        });
+    }
+
+    /// Bytes of the block buffers and layout tables (see
+    /// [`StreamingFleetEngine::state_bytes`]).
+    fn state_bytes(&self) -> usize {
+        let rows = self.planned_prev.capacity() * 4
+            + self.planned.capacity() * 4
+            + self.observed.capacity() * 4
+            + self.user_cells.capacity() * 4;
+        let tables = self.source.capacity() * 8
+            + self.service_starts.capacity() * 8
+            + self.user_observed_indices.capacity() * 8;
+        rows + tables
+    }
+
+    /// The finished run of one whole-horizon block as a [`FleetOutcome`].
+    /// The planned grid and the lanes are dropped before the
+    /// ground-truth arena is built.
+    ///
+    /// # Errors
+    ///
+    /// Fails typed if the block does not hold whole rows (an invariant
+    /// break, not an input error).
+    pub(crate) fn into_outcome(self) -> Result<FleetOutcome> {
+        let FleetCore {
+            config,
+            num_services,
+            user_observed_indices,
+            planned,
+            users,
+            observed,
+            user_cells,
+            stats,
+            ..
+        } = self;
+        drop(planned);
+        drop(users);
+        let observed = CellGrid::from_cells(num_services, observed)?;
+        let mut arena = TrajectoryArena::new(config.num_users, config.horizon);
+        for (user, cells) in user_cells.chunks_exact(config.horizon).enumerate() {
+            arena.row_mut(user).copy_from_slice(cells);
+        }
+        Ok(FleetOutcome {
+            observed,
+            user_observed_indices,
+            user_cells: arena,
+            stats,
+        })
+    }
+}
+
+/// Splits a slot-major block of `width`-cell rows into per-part row
+/// slices: part `p` receives columns `bounds[p]..bounds[p + 1]` of every
+/// row, in row order.
+fn split_columns<'b>(
+    block: &'b mut [CellId],
+    width: usize,
+    bounds: &[usize],
+) -> Vec<Vec<&'b mut [CellId]>> {
+    let rows = block.len() / width;
+    let mut parts: Vec<Vec<&mut [CellId]>> = bounds
+        .windows(2)
+        .map(|_| Vec::with_capacity(rows))
+        .collect();
+    for mut row in block.chunks_exact_mut(width) {
+        for (part, span) in parts.iter_mut().zip(bounds.windows(2)) {
+            let (head, tail) = std::mem::take(&mut row).split_at_mut(span[1] - span[0]);
+            part.push(head);
+            row = tail;
+        }
+    }
+    parts
 }
 
 /// Bounded ring of the most recent observed slot rows (post-shuffle).
@@ -179,35 +585,13 @@ impl SlotRing {
 /// # }
 /// ```
 pub struct StreamingFleetEngine<'a> {
-    model: FleetModel<'a>,
-    config: FleetConfig,
-    service_starts: Vec<usize>,
-    num_services: usize,
-    /// `source[observed]` = the planned (pre-shuffle) service shown at
-    /// that observed position: the inverse of the anonymization
-    /// permutation (identity when anonymization is off).
-    source: Vec<usize>,
-    user_observed_indices: Vec<usize>,
+    core: FleetCore<'a>,
     /// `is_user[observed index]`: does this column carry a real user?
     is_user: Vec<bool>,
-    users: Vec<UserLane<'a>>,
-    /// Shard count of the per-user and per-service passes (the
-    /// detector's, from [`FleetConfig`]).
-    shards: usize,
     detector: StreamingPrefixDetector,
     ring: SlotRing,
-    /// Previous slot's placed (pre-shuffle) row: the fast path counts
-    /// migrations against it, the capacity replay migrates from it.
-    planned_prev: Vec<CellId>,
-    planned_row: Vec<CellId>,
-    observed_row: Vec<CellId>,
-    user_row: Vec<CellId>,
-    /// The shared network of the capacity replay.
-    network: Option<MecNetwork>,
     /// Cell histogram scratch for the per-slot tracking accuracy.
     histogram: Vec<usize>,
-    stats: FleetStats,
-    slot: usize,
 }
 
 impl<'a> StreamingFleetEngine<'a> {
@@ -218,8 +602,8 @@ impl<'a> StreamingFleetEngine<'a> {
     ///
     /// Same validation as
     /// [`FleetSimulation::run_chaffed`](crate::fleet::FleetSimulation::run_chaffed):
-    /// rejects invalid configs, nonzero `chaffs_per_user`, mismatched
-    /// per-class policies and overflowing budgets.
+    /// rejects invalid configs, mismatched per-class policies and
+    /// overflowing budgets.
     pub fn new(
         chain: &'a MarkovChain,
         config: FleetConfig,
@@ -247,73 +631,12 @@ impl<'a> StreamingFleetEngine<'a> {
         config: FleetConfig,
         policy: &FleetChaffPolicy,
     ) -> Result<Self> {
-        config.validate()?;
-        if config.chaffs_per_user != 0 {
-            return Err(SimError::InvalidConfig {
-                parameter: "chaffs_per_user",
-                reason: "the streaming engine takes budgets from the policy; leave \
-                         chaffs_per_user at 0"
-                    .into(),
-            });
-        }
-        policy.validate(model.num_classes(), config.num_users)?;
-        let n = config.num_users;
-        let service_starts = service_layout(n, config.horizon, |user| {
-            policy.budget_of(user, model.class_of(user), n)
-        })?;
-        let num_services = *service_starts.last().expect("layout has n + 1 entries");
-        // Per-user persistent state: the same seed streams as the batch
-        // engine's `simulate_user_into`, with controllers constructed in
-        // lane order.
-        let users: Vec<UserLane<'a>> = (0..n)
-            .map(|user| {
-                let budget = service_starts[user + 1] - service_starts[user] - 1;
-                let class = model.class_of(user);
-                let chaffs = (0..budget)
-                    .map(|c| {
-                        let seed = chaff_seed(config.seed, user as u64, c as u64);
-                        // The same epoch-aware factory as the batch
-                        // engine's `run_chaffed`: a multi-epoch registry
-                        // steps one continuous controller against the
-                        // epoch-active chains, the stationary path keeps
-                        // the bare controller.
-                        let strategy = policy.strategy_of(class);
-                        let controller = match model {
-                            FleetModel::Heterogeneous(r) if !r.is_stationary() => {
-                                strategy.scheduled_controller(r, class)
-                            }
-                            _ => strategy.controller(model.chain_of(user)),
-                        };
-                        (controller, StdRng::seed_from_u64(seed))
-                    })
-                    .collect();
-                UserLane {
-                    rng: StdRng::seed_from_u64(user_seed(config.seed, user as u64)),
-                    now: None,
-                    chaffs,
-                }
-            })
-            .collect();
-        // The batch engine shuffles once, at assembly; the same
-        // permutation (same seed stream) anonymizes every slot row here,
-        // kept only as its inverse for the per-slot gather.
-        let perm = if config.anonymize {
-            let mut rng = StdRng::seed_from_u64(shuffle_seed(config.seed));
-            fisher_yates(num_services, &mut rng)
-        } else {
-            (0..num_services).collect()
-        };
-        let user_observed_indices: Vec<usize> = (0..n).map(|u| perm[service_starts[u]]).collect();
-        let mut source = vec![0usize; num_services];
-        for (service, &observed) in perm.iter().enumerate() {
-            source[observed] = service;
-        }
-        drop(perm);
+        let core = FleetCore::new(model, config, policy)?;
+        let num_services = core.num_services;
         let mut is_user = vec![false; num_services];
-        for &idx in &user_observed_indices {
+        for &idx in &core.user_observed_indices {
             is_user[idx] = true;
         }
-        let shards = config.effective_shards();
         // A multi-epoch registry arms the eavesdropper with the full
         // epoch-major table set (it knows the population's time-varying
         // model mix); stationary models keep the plain construction.
@@ -323,7 +646,7 @@ impl<'a> StreamingFleetEngine<'a> {
                     registry.to_epoch_tables(),
                     registry.schedule().clone(),
                     num_services,
-                    shards,
+                    core.shards,
                 )?
             }
             _ => {
@@ -333,7 +656,7 @@ impl<'a> StreamingFleetEngine<'a> {
                         .map(|c| registry.table(c).clone())
                         .collect(),
                 };
-                StreamingPrefixDetector::with_shards(tables, num_services, shards)?
+                StreamingPrefixDetector::with_shards(tables, num_services, core.shards)?
             }
         };
         // An adaptive policy needs the detector-side accuracy feedback to
@@ -342,37 +665,12 @@ impl<'a> StreamingFleetEngine<'a> {
         if matches!(policy.allocation(), BudgetAllocation::Adaptive(_)) {
             detector = detector.with_feedback();
         }
-        let network = match config.node_capacity {
-            Some(capacity) => Some(MecNetwork::new(model.num_states(), Some(capacity))?),
-            None => None,
-        };
-        let histogram = vec![0usize; model.num_states()];
-        let stats = FleetStats {
-            migrations: 0,
-            spills: 0,
-            user_slots: 0,
-            chaff_services: num_services - n,
-        };
         Ok(StreamingFleetEngine {
-            model,
-            config,
-            service_starts,
-            num_services,
-            source,
-            user_observed_indices,
+            histogram: vec![0usize; model.num_states()],
+            core,
             is_user,
-            users,
-            shards,
             detector,
             ring: SlotRing::new(DEFAULT_RING_DEPTH),
-            planned_prev: vec![CellId::new(0); num_services],
-            planned_row: vec![CellId::new(0); num_services],
-            observed_row: vec![CellId::new(0); num_services],
-            user_row: vec![CellId::new(0); n],
-            network,
-            histogram,
-            stats,
-            slot: 0,
         })
     }
 
@@ -400,7 +698,8 @@ impl<'a> StreamingFleetEngine<'a> {
     /// feedback is not enabled.
     pub fn user_feedback(&self) -> Option<Vec<f64>> {
         self.detector.feedback().map(|feedback| {
-            self.user_observed_indices
+            self.core
+                .user_observed_indices
                 .iter()
                 .map(|&column| feedback.accuracy(column))
                 .collect()
@@ -409,22 +708,22 @@ impl<'a> StreamingFleetEngine<'a> {
 
     /// Number of users `N`.
     pub fn num_users(&self) -> usize {
-        self.config.num_users
+        self.core.config.num_users
     }
 
     /// Total services (users plus chaffs) per slot row.
     pub fn num_services(&self) -> usize {
-        self.num_services
+        self.core.num_services
     }
 
     /// The configured horizon (the engine stops after this many slots).
     pub fn horizon(&self) -> usize {
-        self.config.horizon
+        self.core.config.horizon
     }
 
     /// Slots completed so far.
     pub fn slots_run(&self) -> usize {
-        self.slot
+        self.core.slot
     }
 
     /// Depth of the trailing observed-row ring.
@@ -453,25 +752,25 @@ impl<'a> StreamingFleetEngine<'a> {
     /// The ground-truth user cells of the most recent slot (empty before
     /// the first step).
     pub fn last_user_row(&self) -> &[CellId] {
-        if self.slot == 0 {
+        if self.core.slot == 0 {
             &[]
         } else {
-            &self.user_row
+            &self.core.user_cells
         }
     }
 
     /// `user_observed_indices[u]`: where user `u`'s real service sits in
     /// every observed row.
     pub fn user_observed_indices(&self) -> &[usize] {
-        &self.user_observed_indices
+        &self.core.user_observed_indices
     }
 
     /// Aggregate counters over the slots run so far. On a completed run
-    /// these equal the batch engine's
-    /// [`FleetStats`] bit-for-bit; on a
-    /// truncated run they describe the clean partial prefix.
+    /// these equal [`FleetSimulation::run_chaffed`](crate::fleet::FleetSimulation::run_chaffed)'s
+    /// [`FleetStats`] bit-for-bit; on a truncated run they describe the
+    /// clean partial prefix.
     pub fn stats(&self) -> FleetStats {
-        self.stats
+        self.core.stats
     }
 
     /// Bytes of horizon-independent engine state: the observed-row ring,
@@ -481,16 +780,8 @@ impl<'a> StreamingFleetEngine<'a> {
     /// figure is the engine's `O(width · ring_depth + N)` columnar
     /// footprint, the quantity the memory-bound tests pin down.
     pub fn state_bytes(&self) -> usize {
-        let rows = self.planned_prev.capacity() * 4
-            + self.planned_row.capacity() * 4
-            + self.observed_row.capacity() * 4
-            + self.user_row.capacity() * 4;
-        let tables = self.source.capacity() * 8
-            + self.service_starts.capacity() * 8
-            + self.user_observed_indices.capacity() * 8
-            + self.is_user.capacity()
-            + self.histogram.capacity() * 8;
-        self.ring.bytes() + self.detector.state_bytes() + rows + tables
+        let tables = self.is_user.capacity() + self.histogram.capacity() * 8;
+        self.ring.bytes() + self.detector.state_bytes() + self.core.state_bytes() + tables
     }
 
     /// Advances one slot, drawing every user's move from its mobility
@@ -501,11 +792,11 @@ impl<'a> StreamingFleetEngine<'a> {
     /// Propagates capacity errors ([`SimError::NoCapacity`]) from the
     /// shared-network replay.
     pub fn step(&mut self) -> Result<Option<SlotStep>> {
-        if self.slot >= self.config.horizon {
+        if self.core.slot >= self.core.config.horizon {
             return Ok(None);
         }
-        self.run_lanes(true);
-        self.advance_slot()
+        self.core.advance(1)?;
+        self.detect_slot()
     }
 
     /// Advances one slot with externally supplied user cells (trace
@@ -524,23 +815,24 @@ impl<'a> StreamingFleetEngine<'a> {
     /// one cell per user or a cell falls outside the model's state
     /// space; propagates capacity errors from the shared-network replay.
     pub fn step_ingested(&mut self, user_cells: &[CellId]) -> Result<Option<SlotStep>> {
-        if self.slot >= self.config.horizon {
+        let slot = self.core.slot;
+        if slot >= self.core.config.horizon {
             return Ok(None);
         }
-        let n = self.config.num_users;
+        let n = self.core.config.num_users;
         if user_cells.len() != n {
             return Err(SimError::StreamFault {
                 user: user_cells.len().min(n.saturating_sub(1)),
-                slot: self.slot,
+                slot,
                 reason: format!("slot row supplies {} cells for {n} users", user_cells.len()),
             });
         }
-        let states = self.model.num_states();
+        let states = self.core.model.num_states();
         for (user, &cell) in user_cells.iter().enumerate() {
             if cell.index() >= states {
                 return Err(SimError::StreamFault {
                     user,
-                    slot: self.slot,
+                    slot,
                     reason: format!(
                         "cell {} outside the {states}-cell state space",
                         cell.index()
@@ -548,117 +840,33 @@ impl<'a> StreamingFleetEngine<'a> {
                 });
             }
         }
-        self.user_row.copy_from_slice(user_cells);
-        self.run_lanes(false);
-        self.advance_slot()
+        self.core.advance_ingested(user_cells)?;
+        self.detect_slot()
     }
 
-    /// The lane pass: for every user, draw its cell into `user_row`
-    /// (when `draw`; the ingest path has filled it already), record it
-    /// as the lane's position and the real service's planned cell, then
-    /// step the user's chaff controllers into its planned columns. Runs
-    /// over contiguous user shards; a shard's planned columns are the
-    /// contiguous range `service_starts[lo]..service_starts[hi]`.
-    fn run_lanes(&mut self, draw: bool) {
-        let chunk = self.config.num_users.div_ceil(self.shards);
-        let (model, slot, starts) = (self.model, self.slot, &self.service_starts);
-        let mut planned_rest = &mut self.planned_row[..];
-        let parts = self
-            .users
-            .chunks_mut(chunk)
-            .zip(self.user_row.chunks_mut(chunk))
-            .enumerate()
-            .map(|(w, (lanes, cells))| {
-                let lo = w * chunk;
-                let width = starts[lo + lanes.len()] - starts[lo];
-                let (planned, rest) = std::mem::take(&mut planned_rest).split_at_mut(width);
-                planned_rest = rest;
-                (lo, lanes, cells, planned)
-            });
-        run_sharded(parts, |(lo, lanes, cells, mut planned)| {
-            for (user, (lane, cell)) in (lo..).zip(lanes.iter_mut().zip(cells)) {
-                if draw {
-                    let chain = model.chain_at_slot(user, slot);
-                    *cell = match lane.now {
-                        None => chain.initial().sample(&mut lane.rng),
-                        Some(prev) => chain.step(prev, &mut lane.rng),
-                    };
-                }
-                lane.now = Some(*cell);
-                // Always-follow for the real service, then one controller
-                // step per chaff lane, in lane order.
-                let (row, rest) = planned.split_at_mut(1 + lane.chaffs.len());
-                planned = rest;
-                row[0] = *cell;
-                for ((controller, chaff_rng), out) in lane.chaffs.iter_mut().zip(&mut row[1..]) {
-                    *out = controller.next(*cell, &[], chaff_rng);
-                }
-            }
-        });
-    }
-
-    /// The shared slot tail: optional capacity replay, anonymizing
-    /// gather, ring append, online detection and incremental accuracy.
-    /// The lane pass has filled `user_row` and `planned_row` on entry.
-    fn advance_slot(&mut self) -> Result<Option<SlotStep>> {
-        let n = self.config.num_users;
-        let slot = self.slot;
-        // Placement phase.
-        if let Some(network) = &mut self.network {
-            // Sequential capacity replay in global service order — the
-            // batch engine's `replay_with_capacity`, one slot at a time.
-            // The placed cell replaces the desired one, and the previous
-            // placed row is every service's current actual cell.
-            for (service, cell) in self.planned_row.iter_mut().enumerate() {
-                let desired = *cell;
-                if slot == 0 {
-                    *cell = network.place_nearest(desired)?;
-                } else {
-                    let prev = self.planned_prev[service];
-                    *cell = network.migrate(prev, desired)?;
-                    if *cell != prev {
-                        self.stats.migrations += 1;
-                    }
-                }
-                if *cell != desired {
-                    self.stats.spills += 1;
-                }
-            }
-        } else if slot > 0 {
-            // Fast path: planned placement is actual placement; count
-            // migrations row against row.
-            let chunk = self.num_services.div_ceil(self.shards);
-            let parts = self
-                .planned_row
-                .chunks(chunk)
-                .zip(self.planned_prev.chunks(chunk));
-            self.stats.migrations += run_sharded(parts, |(now, prev)| {
-                now.iter()
-                    .zip(prev)
-                    .filter(|(now, prev)| now != prev)
-                    .count()
-            })
-            .into_iter()
-            .sum::<usize>();
-        }
-        self.gather();
-        // Every slot rewrites every planned column, so the old previous
-        // row is free scratch for the next slot.
-        std::mem::swap(&mut self.planned_prev, &mut self.planned_row);
-        self.ring.push(&self.observed_row);
+    /// The streaming tail of a one-slot block: ring append, online
+    /// detection and incremental accuracy.
+    fn detect_slot(&mut self) -> Result<Option<SlotStep>> {
+        let n = self.core.config.num_users;
+        let slot = self.core.slot - 1;
+        let observed = &self.core.observed[..];
+        self.ring.push(observed);
         // Detection phase: the shared per-slot kernel. Cells come from a
         // validated model or a pre-validated ingest row, so this cannot
         // fail — but a typed propagation beats an unwrap if an invariant
         // ever breaks.
-        let detection = self.detector.push_slot(&self.observed_row)?;
+        let detection = self.detector.push_slot(observed)?;
         // Incremental accuracy: the per-slot bodies of
         // `mean_tracking_accuracy_columnar` / `mean_detection_accuracy`.
         let tie = detection.tie_set();
         for &i in tie {
-            self.histogram[self.observed_row[i].index()] += 1;
+            self.histogram[observed[i].index()] += 1;
         }
-        let (histogram, observed) = (&self.histogram, &self.observed_row);
-        let parts = self.user_observed_indices.chunks(n.div_ceil(self.shards));
+        let histogram = &self.histogram;
+        let parts = self
+            .core
+            .user_observed_indices
+            .chunks(n.div_ceil(self.core.shards));
         let hits: usize = run_sharded(parts, |columns| {
             columns
                 .iter()
@@ -669,34 +877,16 @@ impl<'a> StreamingFleetEngine<'a> {
         .sum();
         let tracking_accuracy = hits as f64 / tie.len() as f64 / n as f64;
         for &i in tie {
-            self.histogram[self.observed_row[i].index()] = 0;
+            self.histogram[observed[i].index()] = 0;
         }
         let named = tie.iter().filter(|&&i| self.is_user[i]).count();
         let detection_accuracy = named as f64 / tie.len() as f64 / n as f64;
-        self.stats.user_slots += n;
-        self.slot += 1;
         Ok(Some(SlotStep {
             slot,
             detection,
             tracking_accuracy,
             detection_accuracy,
         }))
-    }
-
-    /// The anonymizing gather `observed_row[j] = planned_row[source[j]]`,
-    /// over disjoint chunks of the observed row.
-    fn gather(&mut self) {
-        let chunk = self.num_services.div_ceil(self.shards);
-        let planned = &self.planned_row;
-        let parts = self
-            .observed_row
-            .chunks_mut(chunk)
-            .zip(self.source.chunks(chunk));
-        run_sharded(parts, |(observed, source)| {
-            for (cell, &service) in observed.iter_mut().zip(source) {
-                *cell = planned[service];
-            }
-        });
     }
 }
 
@@ -730,6 +920,84 @@ mod tests {
 
     fn chain(seed: u64) -> MarkovChain {
         crate::test_support::nonskewed_chain(seed, 10)
+    }
+
+    /// Observed rows, user rows and stats of a core run advanced in
+    /// blocks of (at most) `block` slots.
+    type BlockRun = (Vec<Vec<CellId>>, Vec<Vec<CellId>>, FleetStats);
+
+    fn run_in_blocks(
+        model: FleetModel<'_>,
+        config: &FleetConfig,
+        policy: &FleetChaffPolicy,
+        block: usize,
+    ) -> BlockRun {
+        let mut core = FleetCore::new(model, config.clone(), policy).unwrap();
+        let (n, width) = (config.num_users, core.num_services);
+        let mut observed = Vec::new();
+        let mut users = Vec::new();
+        while core.slot < config.horizon {
+            let k = block.min(config.horizon - core.slot);
+            core.advance(k).unwrap();
+            observed.extend(core.observed.chunks_exact(width).map(<[CellId]>::to_vec));
+            users.extend((0..k).map(|t| (0..n).map(|u| core.user_cells[u * k + t]).collect()));
+        }
+        (observed, users, core.stats)
+    }
+
+    /// Every lane owns its stream and reads only its own user's cell of
+    /// the same slot, so advancing `k` slots per block must give the
+    /// bits of one-slot blocks: observed grid, user cells, migrations,
+    /// spills and the rest of the stats — with and without a capacity,
+    /// and on a day/night registry, where a draw from the wrong slot's
+    /// epoch would show.
+    #[test]
+    fn block_size_cannot_change_a_bit() {
+        const CELLS: usize = 12;
+        const HORIZON: usize = 11;
+        let homogeneous = crate::test_support::nonskewed_chain(9, CELLS);
+        let stationary = crate::test_support::mixed_registry(31, CELLS, 2);
+        let epoch = |seed| -> Vec<MarkovChain> {
+            let registry = crate::test_support::mixed_registry(seed, CELLS, 3);
+            (0..2).map(|c| registry.chain(c).clone()).collect()
+        };
+        let day_night = MobilityRegistry::with_epochs(
+            vec![epoch(32), epoch(33)],
+            chaff_markov::EpochSchedule::day_night(2, 3).unwrap(),
+        )
+        .unwrap();
+        let models = [
+            ("chain", FleetModel::Homogeneous(&homogeneous)),
+            ("stationary", FleetModel::Heterogeneous(&stationary)),
+            ("day/night", FleetModel::Heterogeneous(&day_night)),
+        ];
+        let policies = [
+            FleetChaffPolicy::uniform(FleetChaffStrategy::Im, 2),
+            FleetChaffPolicy::proportional(FleetChaffStrategy::Mo, 9),
+        ];
+        for (name, model) in models {
+            for capacity in [None, Some(2)] {
+                for policy in &policies {
+                    let mut config = FleetConfig::new(7, HORIZON).with_seed(5).with_shards(3);
+                    if let Some(capacity) = capacity {
+                        config = config.with_capacity(capacity);
+                    }
+                    let reference = run_in_blocks(model, &config, policy, 1);
+                    assert_eq!(reference.0.len(), HORIZON);
+                    assert_eq!(reference.2.user_slots, 7 * HORIZON);
+                    if capacity.is_some() {
+                        assert!(reference.2.spills > 0, "{name}: capacity 2 must spill");
+                    }
+                    for block in [2, 3, 7, HORIZON] {
+                        assert_eq!(
+                            run_in_blocks(model, &config, policy, block),
+                            reference,
+                            "{name}, capacity {capacity:?}, {policy:?}: block {block}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// The lane pass moves user lanes onto pool workers, so the engine
@@ -794,9 +1062,6 @@ mod tests {
         let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Im, 0);
         assert!(StreamingFleetEngine::new(&c, FleetConfig::new(0, 5), &policy).is_err());
         assert!(StreamingFleetEngine::new(&c, FleetConfig::new(5, 0), &policy).is_err());
-        assert!(
-            StreamingFleetEngine::new(&c, FleetConfig::new(5, 5).with_chaffs(1), &policy).is_err()
-        );
         let bad = FleetChaffPolicy::per_class(vec![
             (FleetChaffStrategy::Im, 1),
             (FleetChaffStrategy::Cml, 1),
