@@ -1,15 +1,16 @@
-//! Substrate benchmarks: Markov-chain operations and the trace pipeline's
-//! geometric hot loops.
+//! Substrate benchmarks: Markov-chain operations (including the
+//! prefix-sum successor draw every fleet lane makes per slot) and the
+//! trace pipeline's geometric hot loops.
 
 use chaff_bench::fixture_chain;
 use chaff_markov::models::ModelKind;
-use chaff_markov::{mixing, stationary};
+use chaff_markov::{mixing, stationary, CellId, MarkovChain, StateDistribution, TransitionMatrix};
 use chaff_mobility::geo::BoundingBox;
 use chaff_mobility::towers;
 use chaff_mobility::voronoi::CellMap;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -46,6 +47,57 @@ fn bench_trajectory_sampling(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(34);
         b.iter(|| chain.sample_trajectory(black_box(100), &mut rng))
     });
+}
+
+/// Chained `MarkovChain::step` draws per benchmark iteration: enough
+/// that one iteration is microseconds, far above timer resolution.
+const STEPS_PER_ITER: usize = 1_000;
+
+/// A sparse chain shaped like the trace pipeline's empirical models:
+/// `cells` cells with `degree` random successors per row (a self-loop
+/// among them) and a uniform initial distribution.
+fn sparse_chain(cells: usize, degree: usize, seed: u64) -> MarkovChain {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rows = (0..cells)
+        .map(|i| {
+            let mut row = vec![0.0; cells];
+            row[i] = rng.random::<f64>() + 0.1;
+            for _ in 1..degree {
+                row[rng.random_range(0..cells)] += rng.random::<f64>() + 0.1;
+            }
+            row
+        })
+        .collect();
+    let matrix = TransitionMatrix::from_weights(rows).expect("positive rows");
+    MarkovChain::with_initial(
+        matrix,
+        StateDistribution::uniform(cells).expect("cells > 0"),
+    )
+    .expect("matching dimensions")
+}
+
+/// The lane pass's inner draw: `STEPS_PER_ITER` chained
+/// `MarkovChain::step` calls on the dense 10-cell fixture and on a
+/// sparse ~1,000-cell chain.
+fn bench_markov_step(c: &mut Criterion) {
+    let mut group = c.benchmark_group("markov_step");
+    let fixtures = [
+        ("nonskewed", 10, fixture_chain(ModelKind::NonSkewed, 10, 37)),
+        ("sparse", 1_000, sparse_chain(1_000, 9, 38)),
+    ];
+    for (name, cells, chain) in &fixtures {
+        group.bench_with_input(BenchmarkId::new(*name, cells), cells, |b, _| {
+            let mut rng = StdRng::seed_from_u64(39);
+            let mut current = CellId::new(0);
+            b.iter(|| {
+                for _ in 0..STEPS_PER_ITER {
+                    current = black_box(chain).step(current, &mut rng);
+                }
+                current
+            })
+        });
+    }
+    group.finish();
 }
 
 fn bench_voronoi_nearest(c: &mut Criterion) {
@@ -93,6 +145,7 @@ criterion_group! {
         bench_stationary_solvers,
         bench_mixing_time,
         bench_trajectory_sampling,
+        bench_markov_step,
         bench_voronoi_nearest,
         bench_product_chain,
 }

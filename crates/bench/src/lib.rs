@@ -31,7 +31,9 @@
 //!   the streamed, sharded engine (shard counts 1 and 4) and the
 //!   replica-amplified path (also baseline-gated, so trace-pipeline
 //!   throughput regressions fail CI like detection regressions);
-//! * `substrates` — Markov/stationary/Voronoi substrate operations.
+//! * `substrates` — Markov/stationary/Voronoi substrate operations,
+//!   including `markov_step`, the prefix-sum successor draw every fleet
+//!   lane makes per slot.
 
 use chaff_markov::models::ModelKind;
 use chaff_markov::MarkovChain;

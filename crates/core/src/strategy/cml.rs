@@ -74,6 +74,7 @@ impl<'a> CmlController<'a> {
 }
 
 impl OnlineChaffController for CmlController<'_> {
+    #[inline]
     fn next(&mut self, user_now: CellId, avoid: &[CellId], _rng: &mut dyn RngCore) -> CellId {
         let chain = self.chains.advance();
         let choice = match self.current {

@@ -66,6 +66,7 @@ impl<'a> ImController<'a> {
 }
 
 impl OnlineChaffController for ImController<'_> {
+    #[inline]
     fn next(&mut self, _user_now: CellId, _avoid: &[CellId], rng: &mut dyn RngCore) -> CellId {
         let chain = self.chains.advance();
         let next = match self.current {

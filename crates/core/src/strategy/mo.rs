@@ -175,6 +175,7 @@ impl<'a> MoController<'a> {
 }
 
 impl OnlineChaffController for MoController<'_> {
+    #[inline]
     fn next(&mut self, user_now: CellId, avoid: &[CellId], _rng: &mut dyn RngCore) -> CellId {
         self.decide(user_now, avoid)
     }

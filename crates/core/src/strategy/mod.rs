@@ -39,7 +39,7 @@ pub use robust::{RmlStrategy, RmoStrategy, RooStrategy};
 pub use rollout::{RolloutStrategy, DEFAULT_ROLLOUT_SAMPLES};
 
 use crate::Result;
-use chaff_markov::{CellId, EpochSchedule, MarkovChain, Trajectory};
+use chaff_markov::{CellId, MarkovChain, MobilityRegistry, Trajectory};
 use rand::RngCore;
 use std::fmt;
 use std::str::FromStr;
@@ -89,79 +89,85 @@ pub trait ChaffStrategy {
 }
 
 /// The chain source an online controller steps against: one chain per
-/// epoch under an [`EpochSchedule`], selected by the controller's own
-/// call count. The fleet drivers call a controller exactly once per
-/// slot, in order, so the counter *is* the slot index.
+/// epoch under a registry's [`EpochSchedule`](chaff_markov::EpochSchedule),
+/// selected by the controller's own call count. The fleet drivers call a
+/// controller exactly once per slot, in order, so the counter *is* the
+/// slot index.
 ///
 /// This keeps a time-varying chaff's cross-slot state (walk position,
 /// likelihood gap) *continuous* across epoch boundaries — exactly like
 /// the users it must resemble, whose arrivals are drawn from the
 /// slot-active chain conditioned on wherever they were one slot ago. A
 /// stationary source ([`EpochChains::stationary`]) always yields its
-/// single chain, so the one-epoch path is the unchanged stationary code.
-#[derive(Debug, Clone)]
+/// single chain and keeps no clock, so the one-epoch path is the
+/// unchanged stationary code.
+///
+/// Both forms only borrow: a source is a few words and owns no heap
+/// allocation, so a fleet can hold one per chaff lane.
+#[derive(Debug, Clone, Copy)]
 pub struct EpochChains<'a> {
-    chains: Vec<&'a MarkovChain>,
-    schedule: EpochSchedule,
-    slot: usize,
+    source: ChainSource<'a>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum ChainSource<'a> {
+    Stationary(&'a MarkovChain),
+    Scheduled {
+        registry: &'a MobilityRegistry,
+        class: usize,
+        slot: usize,
+    },
 }
 
 impl<'a> EpochChains<'a> {
     /// A source that yields `chain` on every slot.
     pub fn stationary(chain: &'a MarkovChain) -> Self {
         EpochChains {
-            chains: vec![chain],
-            schedule: EpochSchedule::stationary(),
-            slot: 0,
+            source: ChainSource::Stationary(chain),
         }
     }
 
-    /// A source yielding `chains[schedule.epoch_of(slot)]` at each slot.
+    /// A source yielding class `class`'s chain of epoch
+    /// `registry.schedule().epoch_of(slot)` at each slot.
     ///
     /// # Errors
     ///
     /// Returns
-    /// [`MarkovError::Empty`](chaff_markov::MarkovError::Empty) when no
-    /// chains are supplied,
-    /// [`MarkovError::LengthMismatch`](chaff_markov::MarkovError::LengthMismatch)
-    /// when `chains` does not cover `schedule.num_epochs()`, and
-    /// [`MarkovError::DimensionMismatch`](chaff_markov::MarkovError::DimensionMismatch)
-    /// when the epochs disagree on the cell space.
-    pub fn new(chains: Vec<&'a MarkovChain>, schedule: EpochSchedule) -> Result<Self> {
-        let first = chains
-            .first()
-            .ok_or(crate::CoreError::Markov(chaff_markov::MarkovError::Empty))?;
-        if chains.len() != schedule.num_epochs() {
+    /// [`MarkovError::ClassOutOfRange`](chaff_markov::MarkovError::ClassOutOfRange)
+    /// when `class` is not one of the registry's classes.
+    pub fn scheduled(registry: &'a MobilityRegistry, class: usize) -> Result<Self> {
+        if class >= registry.num_classes() {
             return Err(crate::CoreError::Markov(
-                chaff_markov::MarkovError::LengthMismatch {
-                    expected: schedule.num_epochs(),
-                    found: chains.len(),
+                chaff_markov::MarkovError::ClassOutOfRange {
+                    class,
+                    classes: registry.num_classes(),
                 },
             ));
         }
-        let states = first.num_states();
-        for chain in &chains {
-            if chain.num_states() != states {
-                return Err(crate::CoreError::Markov(
-                    chaff_markov::MarkovError::DimensionMismatch {
-                        expected: states,
-                        found: chain.num_states(),
-                    },
-                ));
-            }
-        }
         Ok(EpochChains {
-            chains,
-            schedule,
-            slot: 0,
+            source: ChainSource::Scheduled {
+                registry,
+                class,
+                slot: 0,
+            },
         })
     }
 
     /// The chain governing the upcoming slot; advances the slot clock.
+    #[inline]
     pub(crate) fn advance(&mut self) -> &'a MarkovChain {
-        let chain = self.chains[self.schedule.epoch_of(self.slot)];
-        self.slot += 1;
-        chain
+        match &mut self.source {
+            ChainSource::Stationary(chain) => chain,
+            ChainSource::Scheduled {
+                registry,
+                class,
+                slot,
+            } => {
+                let chain = registry.chain_at(*class, registry.schedule().epoch_of(*slot));
+                *slot += 1;
+                chain
+            }
+        }
     }
 }
 

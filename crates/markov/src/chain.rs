@@ -121,20 +121,14 @@ impl MarkovChain {
         out
     }
 
-    /// Samples the next cell from `current`.
+    /// Samples the next cell from `current`: one uniform draw `u`,
+    /// binary-searched against the row's stored running sums (see
+    /// [`TransitionMatrix`]), so it picks the cell a linear `acc += p`
+    /// scan would, with the same floating-point-slack fallback to the
+    /// last positive-probability successor.
     pub fn step<R: Rng + ?Sized>(&self, current: CellId, rng: &mut R) -> CellId {
         let u: f64 = rng.random();
-        let mut acc = 0.0;
-        let mut last = current;
-        for (cell, p) in self.matrix.successors(current) {
-            acc += p;
-            last = cell;
-            if u < acc {
-                return cell;
-            }
-        }
-        // Floating-point slack: the last positive-probability successor.
-        last
+        self.matrix.successor_at(current, u).unwrap_or(current)
     }
 
     /// Log-likelihood of a trajectory under this model:

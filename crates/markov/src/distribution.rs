@@ -16,6 +16,10 @@ const SUM_TOLERANCE: f64 = 1e-6;
 /// second-largest masses (`π_max`, `π_2` of Theorem V.4), entropy, and
 /// deterministic-tie-break argmax selection for the greedy strategies.
 ///
+/// Beside the masses it stores their running sums, added left to right
+/// from `0.0`, so [`sample`](Self::sample) is one binary search that
+/// picks the cell a linear inverse-CDF scan would.
+///
 /// # Example
 ///
 /// ```
@@ -31,6 +35,8 @@ const SUM_TOLERANCE: f64 = 1e-6;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StateDistribution {
     probs: Vec<f64>,
+    /// `cumulative[j]`: the running sum of `probs[..=j]`, left to right.
+    cumulative: Vec<f64>,
 }
 
 impl StateDistribution {
@@ -58,7 +64,20 @@ impl StateDistribution {
         if (sum - 1.0).abs() > SUM_TOLERANCE {
             return Err(MarkovError::NotNormalized { sum });
         }
-        Ok(StateDistribution { probs })
+        Ok(Self::from_validated(probs))
+    }
+
+    /// Wraps validated masses, precomputing the sampler's running sums.
+    fn from_validated(probs: Vec<f64>) -> Self {
+        let mut acc = 0.0;
+        let cumulative = probs
+            .iter()
+            .map(|&p| {
+                acc += p;
+                acc
+            })
+            .collect();
+        StateDistribution { probs, cumulative }
     }
 
     /// Builds a distribution by normalizing non-negative weights.
@@ -97,9 +116,7 @@ impl StateDistribution {
         if n == 0 {
             return Err(MarkovError::Empty);
         }
-        Ok(StateDistribution {
-            probs: vec![1.0 / n as f64; n],
-        })
+        Ok(Self::from_validated(vec![1.0 / n as f64; n]))
     }
 
     /// A point mass on `cell` over `n` cells.
@@ -119,7 +136,7 @@ impl StateDistribution {
         }
         let mut probs = vec![0.0; n];
         probs[cell.index()] = 1.0;
-        Ok(StateDistribution { probs })
+        Ok(Self::from_validated(probs))
     }
 
     /// Number of cells in the space.
@@ -210,17 +227,26 @@ impl StateDistribution {
             .sum::<f64>()
     }
 
-    /// Samples one cell.
+    /// Samples one cell: one uniform draw `u`, binary-searched against
+    /// the stored running sums, so it picks the cell a linear
+    /// `acc += p` scan would, with the same floating-point-slack
+    /// fallback to the last cell with positive mass.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> CellId {
-        let u: f64 = rng.random();
-        let mut acc = 0.0;
-        for (j, &p) in self.probs.iter().enumerate() {
-            acc += p;
-            if u < acc {
-                return CellId::new(j);
-            }
+        self.cell_at(rng.random())
+    }
+
+    /// The cell inverse-CDF sampling picks for a uniform `u` in `[0, 1)`:
+    /// the first cell whose running sum exceeds `u` — the cell a
+    /// left-to-right `acc += p; if u < acc` scan returns, since the
+    /// stored sums are that scan's floats — or, when floating-point
+    /// slack leaves every sum at or below `u`, the last cell with
+    /// positive mass.
+    #[inline]
+    pub(crate) fn cell_at(&self, u: f64) -> CellId {
+        let j = self.cumulative.partition_point(|&sum| sum <= u);
+        if j < self.probs.len() {
+            return CellId::new(j);
         }
-        // Floating-point slack: return the last cell with positive mass.
         let last = self
             .probs
             .iter()

@@ -12,11 +12,12 @@
 //! # Overview
 //!
 //! * [`CellId`] — index of one MEC coverage cell.
-//! * [`TransitionMatrix`] — validated row-stochastic matrix with per-row
-//!   sparse support lists (the trace-driven empirical matrices of the paper
-//!   are extremely sparse; all downstream algorithms iterate supports).
+//! * [`TransitionMatrix`] — validated row-stochastic matrix with a CSR
+//!   support (the trace-driven empirical matrices of the paper are
+//!   extremely sparse; all downstream algorithms iterate supports) and
+//!   per-row running sums for binary-search sampling.
 //! * [`StateDistribution`] — validated probability vector (initial or
-//!   stationary distribution).
+//!   stationary distribution) with running sums for sampling.
 //! * [`MarkovChain`] — a transition matrix bundled with its initial
 //!   (stationary) distribution; sampling and log-likelihoods.
 //! * [`LogLikelihoodTable`] — precomputed columnar log-likelihood kernel
@@ -64,6 +65,8 @@ mod error;
 mod loglik;
 mod matrix;
 mod registry;
+#[cfg(test)]
+mod sampler_reference;
 mod trajectory;
 
 pub mod entropy;

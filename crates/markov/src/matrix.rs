@@ -1,4 +1,5 @@
-//! Row-stochastic transition matrices with cached sparsity support.
+//! Row-stochastic transition matrices with cached sparsity support and
+//! per-row running sums for sampling.
 
 use crate::{CellId, MarkovError, Result};
 use serde::{Deserialize, Serialize};
@@ -13,12 +14,19 @@ const ROW_SUM_TOLERANCE: f64 = 1e-6;
 /// the *destination* cell, so `prob(from, to)` is the probability of moving
 /// from `from` to `to` in one slot.
 ///
-/// Besides dense storage, the matrix keeps a sorted support list per row
-/// (the columns with strictly positive probability). Empirical matrices
-/// estimated from traces are extremely sparse, and every downstream
-/// algorithm (trellis shortest path, the OO dynamic program, the greedy
-/// online strategies) iterates supports instead of full rows, which is what
-/// makes the paper's 959-cell trace experiments tractable.
+/// Besides dense storage, the matrix keeps its support (the columns with
+/// strictly positive probability) in one CSR layout: row `i`'s sorted
+/// columns are `columns[row_starts[i]..row_starts[i + 1]]`. Empirical
+/// matrices estimated from traces are extremely sparse, and every
+/// downstream algorithm (trellis shortest path, the OO dynamic program,
+/// the greedy online strategies) iterates supports instead of full rows,
+/// which is what makes the paper's 959-cell trace experiments tractable.
+///
+/// Beside each support column the matrix stores the row's running sum
+/// up to and including it, accumulated left to right from `0.0` — the
+/// exact floats a linear inverse-CDF scan over the support produces, so
+/// [`MarkovChain::step`](crate::MarkovChain::step) binary-searches them
+/// and returns the cell that scan would.
 ///
 /// # Example
 ///
@@ -40,8 +48,13 @@ pub struct TransitionMatrix {
     n: usize,
     /// Row-major dense probabilities, length `n * n`.
     data: Vec<f64>,
-    /// Sorted column indices with positive probability, one list per row.
-    support: Vec<Vec<u32>>,
+    /// CSR row offsets into `columns`/`sums`, length `n + 1`.
+    row_starts: Vec<usize>,
+    /// Sorted column indices with positive probability, row after row.
+    columns: Vec<u32>,
+    /// `sums[k]`: the running sum of row `i`'s support probabilities up
+    /// to and including `columns[k]`, added left to right from `0.0`.
+    sums: Vec<f64>,
 }
 
 impl TransitionMatrix {
@@ -96,11 +109,19 @@ impl TransitionMatrix {
                 data_len: data.len(),
             });
         }
-        let mut support = Vec::with_capacity(n);
+        let mut row_starts = Vec::with_capacity(n + 1);
+        row_starts.push(0);
+        // Exact capacity: push-grown tables leave a trail of freed
+        // doubling blocks between the dense `n × n` buffers of
+        // neighbouring matrices, and the heap fragments around them.
+        let nnz = data.iter().filter(|&&p| p > 0.0).count();
+        let mut columns = Vec::with_capacity(nnz);
+        let mut sums = Vec::with_capacity(nnz);
         for i in 0..n {
             let row = &data[i * n..(i + 1) * n];
+            // Zero entries leave the running sum unchanged, so the sum
+            // over the support is the sum over the whole row.
             let mut sum = 0.0;
-            let mut cols = Vec::new();
             for (j, &p) in row.iter().enumerate() {
                 if !p.is_finite() || p < 0.0 {
                     return Err(MarkovError::InvalidProbability {
@@ -110,16 +131,23 @@ impl TransitionMatrix {
                     });
                 }
                 if p > 0.0 {
-                    cols.push(j as u32);
+                    sum += p;
+                    columns.push(j as u32);
+                    sums.push(sum);
                 }
-                sum += p;
             }
             if (sum - 1.0).abs() > ROW_SUM_TOLERANCE {
                 return Err(MarkovError::RowNotStochastic { row: i, sum });
             }
-            support.push(cols);
+            row_starts.push(columns.len());
         }
-        Ok(TransitionMatrix { n, data, support })
+        Ok(TransitionMatrix {
+            n,
+            data,
+            row_starts,
+            columns,
+            sums,
+        })
     }
 
     /// Builds a matrix by normalizing non-negative row weights.
@@ -232,21 +260,44 @@ impl TransitionMatrix {
     /// Sorted destination indices with positive probability from `from`.
     #[inline]
     pub fn support(&self, from: CellId) -> &[u32] {
-        &self.support[from.index()]
+        &self.columns[self.row_range(from.index())]
+    }
+
+    /// The successor of `from` that inverse-CDF sampling picks for a
+    /// uniform `u` in `[0, 1)`: the first support cell whose running sum
+    /// exceeds `u` — the cell a left-to-right `acc += p; if u < acc` scan
+    /// returns, since the stored sums are that scan's floats — or, when
+    /// floating-point slack leaves every sum at or below `u`, the last
+    /// support cell. `None` only for an empty row, which validation rules
+    /// out.
+    #[inline]
+    pub(crate) fn successor_at(&self, from: CellId, u: f64) -> Option<CellId> {
+        let range = self.row_range(from.index());
+        let columns = &self.columns[range.clone()];
+        let k = self.sums[range].partition_point(|&sum| sum <= u);
+        columns
+            .get(k)
+            .or(columns.last())
+            .map(|&j| CellId::new(j as usize))
     }
 
     /// Iterates `(destination, probability)` pairs with positive probability,
     /// in increasing destination order.
     pub fn successors(&self, from: CellId) -> impl Iterator<Item = (CellId, f64)> + '_ {
         let row = self.row(from);
-        self.support[from.index()]
+        self.support(from)
             .iter()
             .map(move |&j| (CellId::new(j as usize), row[j as usize]))
     }
 
     /// Total number of positive entries across all rows.
     pub fn nnz(&self) -> usize {
-        self.support.iter().map(Vec::len).sum()
+        self.columns.len()
+    }
+
+    #[inline]
+    fn row_range(&self, row: usize) -> std::ops::Range<usize> {
+        self.row_starts[row]..self.row_starts[row + 1]
     }
 
     /// Most likely destination from `from`, excluding `exclude` if given.
@@ -341,7 +392,7 @@ impl TransitionMatrix {
         queue.push_back(0usize);
         let mut g: usize = 0;
         while let Some(u) = queue.pop_front() {
-            for &jv in &self.support[u] {
+            for &jv in self.support(CellId::new(u)) {
                 let v = jv as usize;
                 if level[v] == usize::MAX {
                     level[v] = level[u] + 1;
@@ -381,7 +432,7 @@ impl TransitionMatrix {
                 continue;
             }
             let row = &self.data[i * self.n..(i + 1) * self.n];
-            for &j in &self.support[i] {
+            for &j in self.support(CellId::new(i)) {
                 out[j as usize] += mass * row[j as usize];
             }
         }
@@ -393,7 +444,7 @@ impl TransitionMatrix {
         seen[0] = true;
         let mut count = 1;
         while let Some(u) = stack.pop() {
-            for &j in &self.support[u] {
+            for &j in self.support(CellId::new(u)) {
                 let v = j as usize;
                 if !seen[v] {
                     seen[v] = true;
@@ -408,8 +459,8 @@ impl TransitionMatrix {
     fn reaches_all_backward(&self) -> bool {
         // Build reverse adjacency once.
         let mut rev: Vec<Vec<u32>> = vec![Vec::new(); self.n];
-        for (u, cols) in self.support.iter().enumerate() {
-            for &j in cols {
+        for u in 0..self.n {
+            for &j in self.support(CellId::new(u)) {
                 rev[j as usize].push(u as u32);
             }
         }

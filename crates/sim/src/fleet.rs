@@ -66,7 +66,8 @@ use crate::{Result, SimError};
 use chaff_core::strategy::{
     CmlController, EpochChains, ImController, MoController, OnlineChaffController,
 };
-use chaff_markov::{CellGrid, MarkovChain, MobilityRegistry, TrajectoryArena};
+use chaff_markov::{CellGrid, CellId, MarkovChain, MobilityRegistry, TrajectoryArena};
+use rand::RngCore;
 
 /// Fleet configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -180,11 +181,7 @@ impl FleetChaffStrategy {
         self,
         chain: &'a MarkovChain,
     ) -> Box<dyn OnlineChaffController + Send + 'a> {
-        match self {
-            FleetChaffStrategy::Im => Box::new(ImController::new(chain)),
-            FleetChaffStrategy::Cml => Box::new(CmlController::new(chain)),
-            FleetChaffStrategy::Mo => Box::new(MoController::new(chain)),
-        }
+        Box::new(self.lane_controller(EpochChains::stationary(chain)))
     }
 
     /// Builds the per-slot controller for one chaff of a class-`class`
@@ -203,22 +200,47 @@ impl FleetChaffStrategy {
     ///
     /// The box is `Send` because the lane pass advances chaff lanes on
     /// pool workers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class` is not one of the registry's classes.
     pub fn scheduled_controller<'a>(
         self,
         registry: &'a MobilityRegistry,
         class: usize,
     ) -> Box<dyn OnlineChaffController + Send + 'a> {
-        let chains = EpochChains::new(
-            (0..registry.num_epochs())
-                .map(|epoch| registry.chain_at(class, epoch))
-                .collect(),
-            registry.schedule().clone(),
-        )
-        .expect("registry epochs are shape-validated at construction");
+        let chains = EpochChains::scheduled(registry, class)
+            .expect("the class indexes one of the registry's classes");
+        Box::new(self.lane_controller(chains))
+    }
+
+    /// The one controller factory: this strategy's controller over
+    /// `chains`, unboxed — the lane pass stores these flat.
+    pub(crate) fn lane_controller(self, chains: EpochChains<'_>) -> LaneController<'_> {
         match self {
-            FleetChaffStrategy::Im => Box::new(ImController::scheduled(chains)),
-            FleetChaffStrategy::Cml => Box::new(CmlController::scheduled(chains)),
-            FleetChaffStrategy::Mo => Box::new(MoController::scheduled(chains)),
+            FleetChaffStrategy::Im => LaneController::Im(ImController::scheduled(chains)),
+            FleetChaffStrategy::Cml => LaneController::Cml(CmlController::scheduled(chains)),
+            FleetChaffStrategy::Mo => LaneController::Mo(MoController::scheduled(chains)),
+        }
+    }
+}
+
+/// One chaff lane's controller, stored inline and dispatched by `match`
+/// rather than through a vtable: the lane pass keeps every chaff's
+/// controller in one flat table, and none owns a heap allocation.
+pub(crate) enum LaneController<'a> {
+    Im(ImController<'a>),
+    Cml(CmlController<'a>),
+    Mo(MoController<'a>),
+}
+
+impl OnlineChaffController for LaneController<'_> {
+    #[inline]
+    fn next(&mut self, user_now: CellId, avoid: &[CellId], rng: &mut dyn RngCore) -> CellId {
+        match self {
+            LaneController::Im(controller) => controller.next(user_now, avoid, rng),
+            LaneController::Cml(controller) => controller.next(user_now, avoid, rng),
+            LaneController::Mo(controller) => controller.next(user_now, avoid, rng),
         }
     }
 }

@@ -25,7 +25,11 @@
 //!    contiguous user shards of the fleet's shard count on
 //!    [`chaff_core::pool::global`] (inline when there is one shard);
 //!    each shard writes its column range of each of the `k` slot-major
-//!    planned rows.
+//!    planned rows. A shard's lanes are two flat tables built on the
+//!    pool with the core — its users, then all of their chaffs in
+//!    service order, each chaff an inline, `match`-dispatched
+//!    controller beside its RNG — so the pass reads contiguous memory
+//!    and no lane owns a heap allocation.
 //! 2. **Place.** Optional shared-capacity replay through one
 //!    [`MecNetwork`], row by row in global service order; the placed
 //!    cells overwrite the planned rows. Without a capacity the planned
@@ -66,8 +70,9 @@
 //!
 //! The streaming engine never materializes the `N × T` grid. It holds
 //! the detector's running scores (`O(N · classes)`), one previous planned
-//! row, a handful of one-row block buffers, per-user RNG/controller state
-//! (`O(N)`), and a bounded ring of the most recent observed rows
+//! row, a handful of one-row block buffers, the flat lane tables (one
+//! fixed-size entry per user and per chaff), and a bounded ring of the
+//! most recent observed rows
 //! (`O(width · ring_depth)`, [`ring_depth`](StreamingFleetEngine::ring_depth)
 //! rows deep) for consumers that want a trailing window — `O(width ·
 //! ring_depth + N)` total, independent of the horizon. A whole-horizon
@@ -80,13 +85,13 @@
 
 use crate::fleet::{
     chaff_seed, service_layout, shuffle_seed, user_seed, BudgetAllocation, FleetChaffPolicy,
-    FleetConfig, FleetModel, FleetOutcome, FleetStats,
+    FleetConfig, FleetModel, FleetOutcome, FleetStats, LaneController,
 };
 use crate::network::MecNetwork;
 use crate::observer::fisher_yates;
 use crate::{Result, SimError};
 use chaff_core::detector::{Detection, StreamingPrefixDetector};
-use chaff_core::strategy::OnlineChaffController;
+use chaff_core::strategy::{EpochChains, OnlineChaffController};
 use chaff_markov::{
     CellGrid, CellId, LogLikelihoodTable, MarkovChain, MobilityRegistry, TrajectoryArena,
 };
@@ -118,14 +123,73 @@ pub struct SlotStep {
 }
 
 /// One user's persistent simulation state.
-struct UserLane<'a> {
+struct UserLane {
     /// The user's own mobility stream (unused on the ingest path).
     rng: StdRng,
     /// Current cell (`None` before the first slot).
     now: Option<CellId>,
-    /// Chaff controllers with their independent RNG streams, in lane
-    /// order. `Send`, so the lane pass can advance them on pool workers.
-    chaffs: Vec<(Box<dyn OnlineChaffController + Send + 'a>, StdRng)>,
+}
+
+/// One chaff's persistent state: its controller, stored inline, and its
+/// independent RNG stream.
+type ChaffLane<'a> = (LaneController<'a>, StdRng);
+
+/// The lanes of one contiguous user shard: the shard's user lanes, then
+/// all of their chaff lanes in one flat table in service order
+/// (user-major, then lane order). The shard count is fixed when the
+/// core is built, so each table is built, and later advanced, by one
+/// pool job; no lane owns a heap allocation.
+struct LaneShard<'a> {
+    /// The shard's first user.
+    lo: usize,
+    /// Users `lo..lo + users.len()`.
+    users: Vec<UserLane>,
+    /// Those users' chaff lanes: user `u`'s `B_u` lanes follow user
+    /// `u - 1`'s.
+    chaffs: Vec<ChaffLane<'a>>,
+}
+
+impl<'a> LaneShard<'a> {
+    /// Seeds the lanes of `users`, with each user's controllers built in
+    /// lane order from its class's strategy and chains.
+    fn new(
+        users: std::ops::Range<usize>,
+        model: FleetModel<'a>,
+        policy: &FleetChaffPolicy,
+        service_starts: &[usize],
+        seed: u64,
+    ) -> Self {
+        let chaff_lanes = |user: usize| service_starts[user] - user;
+        let mut chaffs = Vec::with_capacity(chaff_lanes(users.end) - chaff_lanes(users.start));
+        for user in users.clone() {
+            let class = model.class_of(user);
+            let strategy = policy.strategy_of(class);
+            // A multi-epoch registry steps one continuous controller
+            // against the epoch-active chains; the stationary path keeps
+            // the bare chain.
+            let chains = match model {
+                FleetModel::Heterogeneous(r) if !r.is_stationary() => {
+                    EpochChains::scheduled(r, class).expect("users map into the registry's classes")
+                }
+                _ => EpochChains::stationary(model.chain_of(user)),
+            };
+            let budget = chaff_lanes(user + 1) - chaff_lanes(user);
+            chaffs.extend((0..budget).map(|c| {
+                let rng = StdRng::seed_from_u64(chaff_seed(seed, user as u64, c as u64));
+                (strategy.lane_controller(chains), rng)
+            }));
+        }
+        LaneShard {
+            lo: users.start,
+            users: users
+                .map(|user| UserLane {
+                    rng: StdRng::seed_from_u64(user_seed(seed, user as u64)),
+                    now: None,
+                })
+                .collect(),
+            chaffs,
+        }
+    }
 }
 
 /// The detection-free fleet simulation: per-user lanes, layout,
@@ -141,7 +205,8 @@ pub(crate) struct FleetCore<'a> {
     /// permutation (identity when anonymization is off).
     source: Vec<usize>,
     user_observed_indices: Vec<usize>,
-    users: Vec<UserLane<'a>>,
+    /// The lane tables, one per contiguous user shard, in user order.
+    lanes: Vec<LaneShard<'a>>,
     /// Shard count of the per-user and per-service passes (the
     /// detector's, from [`FleetConfig`]).
     shards: usize,
@@ -183,34 +248,14 @@ impl<'a> FleetCore<'a> {
         })?;
         let num_services = *service_starts.last().expect("layout has n + 1 entries");
         // Per-user persistent state: one stream per user and per chaff,
-        // with controllers constructed in lane order.
-        let users: Vec<UserLane<'a>> = (0..n)
-            .map(|user| {
-                let budget = service_starts[user + 1] - service_starts[user] - 1;
-                let class = model.class_of(user);
-                let chaffs = (0..budget)
-                    .map(|c| {
-                        let seed = chaff_seed(config.seed, user as u64, c as u64);
-                        // A multi-epoch registry steps one continuous
-                        // controller against the epoch-active chains;
-                        // the stationary path keeps the bare controller.
-                        let strategy = policy.strategy_of(class);
-                        let controller = match model {
-                            FleetModel::Heterogeneous(r) if !r.is_stationary() => {
-                                strategy.scheduled_controller(r, class)
-                            }
-                            _ => strategy.controller(model.chain_of(user)),
-                        };
-                        (controller, StdRng::seed_from_u64(seed))
-                    })
-                    .collect();
-                UserLane {
-                    rng: StdRng::seed_from_u64(user_seed(config.seed, user as u64)),
-                    now: None,
-                    chaffs,
-                }
-            })
-            .collect();
+        // seeded per lane, so building the shards' tables on the pool
+        // cannot change a bit.
+        let shards = config.effective_shards();
+        let chunk = n.div_ceil(shards);
+        let lanes = run_sharded((0..n).step_by(chunk), |lo| {
+            let users = lo..(lo + chunk).min(n);
+            LaneShard::new(users, model, policy, &service_starts, config.seed)
+        });
         // One permutation anonymizes every slot row, kept only as its
         // inverse for the gather.
         let perm = if config.anonymize {
@@ -237,13 +282,13 @@ impl<'a> FleetCore<'a> {
         };
         Ok(FleetCore {
             model,
-            shards: config.effective_shards(),
+            shards,
             config,
             service_starts,
             num_services,
             source,
             user_observed_indices,
-            users,
+            lanes,
             network,
             planned_prev: vec![CellId::new(0); num_services],
             planned: vec![CellId::new(0); num_services],
@@ -295,28 +340,29 @@ impl<'a> FleetCore<'a> {
     /// already), record the last as the lane's position and each as the
     /// real service's planned cell of its row, then step each of the
     /// user's chaff controllers `k` times into its planned column. Runs
-    /// over contiguous user shards; a shard's planned columns are the
+    /// one job per lane shard; a shard's planned columns are the
     /// contiguous range `service_starts[lo]..service_starts[hi]` of every
-    /// row.
+    /// row, and its chaff table walks them in the same order.
     fn run_lanes(&mut self, k: usize, draw: bool) {
-        let chunk = self.config.num_users.div_ceil(self.shards);
         let (model, slot, starts) = (self.model, self.slot, &self.service_starts);
-        let bounds: Vec<usize> = (0..self.config.num_users)
-            .step_by(chunk)
-            .map(|lo| starts[lo])
+        let bounds: Vec<usize> = self
+            .lanes
+            .iter()
+            .map(|shard| starts[shard.lo])
             .chain([self.num_services])
             .collect();
         let rows = split_columns(&mut self.planned, self.num_services, &bounds);
-        let parts = self
-            .users
-            .chunks_mut(chunk)
-            .zip(self.user_cells.chunks_mut(chunk * k))
-            .zip(rows)
-            .enumerate()
-            .map(|(w, ((lanes, cells), rows))| (w * chunk, lanes, cells, rows));
-        run_sharded(parts, |(lo, lanes, cells, mut rows)| {
-            let base = starts[lo];
-            for ((user, lane), cells) in (lo..).zip(lanes).zip(cells.chunks_exact_mut(k)) {
+        let mut user_cells = &mut self.user_cells[..];
+        let parts = self.lanes.iter_mut().zip(rows).map(|(shard, rows)| {
+            let (cells, rest) = std::mem::take(&mut user_cells).split_at_mut(shard.users.len() * k);
+            user_cells = rest;
+            (shard, cells, rows)
+        });
+        run_sharded(parts, |(shard, cells, mut rows)| {
+            let base = starts[shard.lo];
+            let mut chaffs = &mut shard.chaffs[..];
+            let users = (shard.lo..).zip(&mut shard.users);
+            for ((user, lane), cells) in users.zip(cells.chunks_exact_mut(k)) {
                 if draw {
                     // The arrival at absolute slot `slot + t` is drawn
                     // from that slot's epoch-active chain.
@@ -337,7 +383,10 @@ impl<'a> FleetCore<'a> {
                 for (row, &cell) in rows.iter_mut().zip(&*cells) {
                     row[col] = cell;
                 }
-                for (c, (controller, chaff_rng)) in lane.chaffs.iter_mut().enumerate() {
+                let budget = starts[user + 1] - starts[user] - 1;
+                let (mine, rest) = std::mem::take(&mut chaffs).split_at_mut(budget);
+                chaffs = rest;
+                for (c, (controller, chaff_rng)) in mine.iter_mut().enumerate() {
                     for (row, &cell) in rows.iter_mut().zip(&*cells) {
                         row[col + 1 + c] = controller.next(cell, &[], chaff_rng);
                     }
@@ -471,14 +520,14 @@ impl<'a> FleetCore<'a> {
             num_services,
             user_observed_indices,
             planned,
-            users,
+            lanes,
             observed,
             user_cells,
             stats,
             ..
         } = self;
         drop(planned);
-        drop(users);
+        drop(lanes);
         let observed = CellGrid::from_cells(num_services, observed)?;
         let mut arena = TrajectoryArena::new(config.num_users, config.horizon);
         for (user, cells) in user_cells.chunks_exact(config.horizon).enumerate() {
@@ -775,10 +824,13 @@ impl<'a> StreamingFleetEngine<'a> {
 
     /// Bytes of horizon-independent engine state: the observed-row ring,
     /// the detector's running scores, the inverse-permutation/layout
-    /// tables and the row scratch buffers. Per-user RNG/controller state is *not*
-    /// included (it is `O(N)` but heap-layout dependent); the reported
-    /// figure is the engine's `O(width · ring_depth + N)` columnar
-    /// footprint, the quantity the memory-bound tests pin down.
+    /// tables and the row scratch buffers — the engine's
+    /// `O(width · ring_depth + N)` columnar footprint, the quantity the
+    /// memory-bound tests pin down. The lane tables are *not* included:
+    /// they are flat arrays of fixed-size user and chaff lanes (RNG plus
+    /// inline controller, no per-lane heap allocation), left out so the
+    /// figure stays comparable with the memory ratios recorded before
+    /// the lanes were flat.
     pub fn state_bytes(&self) -> usize {
         let tables = self.is_user.capacity() + self.histogram.capacity() * 8;
         self.ring.bytes() + self.detector.state_bytes() + self.core.state_bytes() + tables
@@ -1000,13 +1052,16 @@ mod tests {
         }
     }
 
-    /// The lane pass moves user lanes onto pool workers, so the engine
-    /// and the boxes both controller factories return must stay `Send`.
+    /// The lane pass builds and advances lane shards on pool workers, so
+    /// the engine, the lane tables, the inline lane controller and the
+    /// boxes both controller factories return must stay `Send`.
     #[test]
     fn engine_and_controller_factories_are_send() {
         fn assert_send<T: Send>() {}
         fn assert_send_value<T: Send>(_: &T) {}
         assert_send::<StreamingFleetEngine<'_>>();
+        assert_send::<LaneShard<'_>>();
+        assert_send::<LaneController<'_>>();
         let c = chain(8);
         let registry = MobilityRegistry::new(vec![c.clone()]).unwrap();
         for strategy in [
