@@ -37,8 +37,7 @@
 //! independent of the shard count and equal to the per-trajectory path.
 
 use super::input::{DetectInput, DetectModel, DetectObservations, GridRowSource, SlotRowSource};
-use super::ml::validate_observations;
-use super::{argmax_set, Detection, StreamingPrefixDetector};
+use super::{Detection, StreamingPrefixDetector};
 use crate::Result;
 use chaff_markov::{CellGrid, EpochSchedule, LogLikelihoodTable, MarkovChain, Trajectory};
 
@@ -126,36 +125,18 @@ impl BatchPrefixDetector {
         requested.clamp(1, n.max(1))
     }
 
-    /// Detects over full trajectories (the final-slot decision), scoring
-    /// every trajectory against the cached table in parallel shards.
+    /// Detects over full trajectories (the final-slot decision): the last
+    /// [`Detection`] of the one slot-row loop that
+    /// [`detect_prefixes`](Self::detect_prefixes) runs.
     ///
     /// # Errors
     ///
     /// Same validation errors as [`MlDetector::detect`](super::MlDetector::detect).
     pub fn detect(&self, chain: &MarkovChain, observed: &[Trajectory]) -> Result<Detection> {
-        validate_observations(chain, observed)?;
-        let table = chain.log_likelihood_table();
-        let n = observed.len();
-        let shards = self.effective_shards(n);
-        let mut scores = vec![0.0f64; n];
-        if shards <= 1 {
-            for (score, x) in scores.iter_mut().zip(observed) {
-                *score = table.log_likelihood(x);
-            }
-        } else {
-            let chunk = n.div_ceil(shards);
-            crate::pool::global().scope(|scope| {
-                for (slice, xs) in scores.chunks_mut(chunk).zip(observed.chunks(chunk)) {
-                    let table = &table;
-                    scope.spawn(move || {
-                        for (score, x) in slice.iter_mut().zip(xs) {
-                            *score = table.log_likelihood(x);
-                        }
-                    });
-                }
-            });
-        }
-        Ok(Detection::new(argmax_set(&scores, None)))
+        let mut detections = self.detect_prefixes(DetectInput::new(chain, observed))?;
+        Ok(detections
+            .pop()
+            .expect("a validated horizon has at least one slot"))
     }
 
     /// Detects once per slot using observation prefixes — the unified

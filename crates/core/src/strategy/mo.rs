@@ -58,8 +58,8 @@ impl ChaffStrategy for MoStrategy {
     }
 }
 
-/// Online form of [`MoStrategy`]; also usable directly by the MEC
-/// simulator.
+/// Online form of [`MoStrategy`]; the fleet engine runs it as a chaff
+/// lane.
 ///
 /// The controller tracks the chaff's previous cell, the user's previous
 /// cell and the log-likelihood gap `γ_t` (Sec. IV-D). It is fully

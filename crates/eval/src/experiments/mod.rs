@@ -13,13 +13,48 @@ pub mod fleet_daynight;
 pub mod fleet_equilibrium;
 pub mod fleet_persist;
 pub mod fleet_scale;
-pub mod fleet_scaling;
 pub mod fleet_stream;
 pub mod multiuser;
 pub mod registry;
 pub mod table1;
 pub mod theory;
 pub mod trace_fleet;
+
+/// The undefended (`B = 0`) population sweep of [`fleet_scale`], which
+/// absorbed the separate `fleet_scaling` table; its checks keep their
+/// `fleet_scaling::tests` paths.
+#[cfg(test)]
+mod fleet_scaling {
+    mod tests {
+        use crate::experiments::fleet_scale::{measure, run_with};
+        use crate::experiments::{build_model, SyntheticConfig};
+        use chaff_markov::models::ModelKind;
+
+        #[test]
+        fn scaling_points_are_sane() {
+            let config = SyntheticConfig::quick();
+            let chain = build_model(ModelKind::NonSkewed, &config).unwrap();
+            let point = measure(&chain, 64, 0, 10, 5, None).unwrap();
+            assert_eq!(point.services, 64);
+            assert!(point.throughput > 0.0);
+            assert!((0.0..=1.0).contains(&point.tracking_accuracy));
+            // With 64 exchangeable users the accuracy sits near eq. (11).
+            assert!(
+                (point.tracking_accuracy - point.predicted).abs() < 0.1,
+                "tracking {} vs predicted {}",
+                point.tracking_accuracy,
+                point.predicted
+            );
+        }
+
+        #[test]
+        fn table_has_one_row_per_population() {
+            let config = SyntheticConfig::quick();
+            let table = run_with(&config, &[8, 32], &[0], 10).unwrap();
+            assert_eq!(table.rows.len(), 2);
+        }
+    }
+}
 
 pub use registry::{find, Experiment, ExperimentCtx, ExperimentOutput};
 

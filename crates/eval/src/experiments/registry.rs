@@ -145,17 +145,6 @@ experiment!(Multiuser, "multiuser", ctx, {
     Ok(ExperimentOutput::figures(figures))
 });
 
-experiment!(FleetScaling, "fleet_scaling", ctx, {
-    let populations: &[usize] = if ctx.quick {
-        &super::fleet_scaling::QUICK_POPULATIONS
-    } else {
-        &super::fleet_scaling::POPULATIONS
-    };
-    Ok(ExperimentOutput::table(
-        super::fleet_scaling::run_with_populations(&ctx.synth, populations)?,
-    ))
-});
-
 experiment!(FleetChaff, "fleet_chaff", ctx, {
     let (populations, budgets): (&[usize], &[usize]) = if ctx.quick {
         (
@@ -282,7 +271,6 @@ pub fn registry() -> Vec<Box<dyn Experiment>> {
         Box::new(Fig10),
         Box::new(Theory),
         Box::new(Multiuser),
-        Box::new(FleetScaling),
         Box::new(FleetChaff),
         Box::new(FleetEquilibrium),
         Box::new(FleetScale),

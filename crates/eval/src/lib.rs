@@ -16,7 +16,7 @@
 //! | `fig10` | trace: advanced eavesdropper with two chaffs | [`experiments::fig10`] |
 //! | `theory` | eq. (11)/(12) and Theorem V.4 checks | [`experiments::theory`] |
 //! | `multiuser` | extension: coexisting users as natural chaffs (fleet engine, N ≤ 10,000) | [`experiments::multiuser`] |
-//! | `fleet_scaling` | extension: fleet-engine throughput (user-slots/sec) vs N | [`experiments::fleet_scaling`] |
+//! | `fleet_scale` | extension: fleet-engine throughput (user-slots/sec), accuracy vs eq. (11) and grid memory vs N | [`experiments::fleet_scale`] |
 //!
 //! All experiments are deterministic given their seed; Monte Carlo
 //! averaging runs on all cores via [`montecarlo`].

@@ -3,9 +3,9 @@
 //! The paper notes that "running chaff services is expensive" and that the
 //! chaff budget `N − 1` models the user's willingness to pay (Secs. II-B,
 //! VIII), leaving a quantitative cost-privacy study to future work. This
-//! module supplies the measurement side of that study: per-service ledgers
-//! of migration, communication and running costs that the evaluation
-//! harness can put next to tracking accuracy.
+//! module supplies the measurement side of that study: unit costs and the
+//! cost of one service instance over its placed trajectory, which the
+//! examples and the evaluation harness put next to tracking accuracy.
 
 use chaff_markov::CellId;
 use serde::{Deserialize, Serialize};
@@ -39,84 +39,24 @@ impl CostModel {
         let d = user.index().abs_diff(service.index()) as f64;
         self.communication_per_distance * d
     }
-}
 
-/// Accumulated costs of one service instance.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct ServiceCosts {
-    /// Number of migrations performed.
-    pub migrations: usize,
-    /// Total migration cost.
-    pub migration_cost: f64,
-    /// Total communication cost (real service only; chaffs serve nobody).
-    pub communication_cost: f64,
-    /// Total running cost.
-    pub running_cost: f64,
-}
-
-impl ServiceCosts {
-    /// Sum of all cost components.
-    pub fn total(&self) -> f64 {
-        self.migration_cost + self.communication_cost + self.running_cost
-    }
-}
-
-/// Ledger for a whole simulation: index 0 is the real service, the rest
-/// are chaffs.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct CostLedger {
-    services: Vec<ServiceCosts>,
-}
-
-impl CostLedger {
-    /// Creates a ledger for one real service plus `num_chaffs` chaffs.
-    pub fn new(num_chaffs: usize) -> Self {
-        CostLedger {
-            services: vec![ServiceCosts::default(); num_chaffs + 1],
+    /// Migration plus running cost of one service instance placed at
+    /// `cells[t]` in slot `t`: [`running`](Self::running) per slot plus
+    /// [`migration`](Self::migration) per cell change. Each component is
+    /// summed slot by slot before the two are added, so the total is the
+    /// same float however long the trajectory. A chaff serves nobody, so
+    /// this is a chaff's whole cost; a real service also pays
+    /// [`communication`](Self::communication) while it lags its user.
+    pub fn service_cost(&self, cells: &[CellId]) -> f64 {
+        let mut migration_cost = 0.0;
+        let mut running_cost = 0.0;
+        for (t, cell) in cells.iter().enumerate() {
+            if t > 0 && cells[t - 1] != *cell {
+                migration_cost += self.migration;
+            }
+            running_cost += self.running;
         }
-    }
-
-    /// Records a migration of service `index`.
-    pub fn record_migration(&mut self, index: usize, model: &CostModel) {
-        let s = &mut self.services[index];
-        s.migrations += 1;
-        s.migration_cost += model.migration;
-    }
-
-    /// Records one slot of running cost for service `index`.
-    pub fn record_running(&mut self, index: usize, model: &CostModel) {
-        self.services[index].running_cost += model.running;
-    }
-
-    /// Records one slot of communication cost for the real service.
-    pub fn record_communication(&mut self, user: CellId, service: CellId, model: &CostModel) {
-        self.services[0].communication_cost += model.communication(user, service);
-    }
-
-    /// Costs of the real service.
-    pub fn real_service(&self) -> &ServiceCosts {
-        &self.services[0]
-    }
-
-    /// Costs of chaff `i` (0-based).
-    pub fn chaff(&self, i: usize) -> &ServiceCosts {
-        &self.services[i + 1]
-    }
-
-    /// Number of chaffs tracked.
-    pub fn num_chaffs(&self) -> usize {
-        self.services.len() - 1
-    }
-
-    /// Total cost attributable to the chaff defense (everything except
-    /// the real service's own costs).
-    pub fn defense_cost(&self) -> f64 {
-        self.services.iter().skip(1).map(ServiceCosts::total).sum()
-    }
-
-    /// Grand total.
-    pub fn total(&self) -> f64 {
-        self.services.iter().map(ServiceCosts::total).sum()
+        migration_cost + running_cost
     }
 }
 
@@ -134,20 +74,51 @@ mod tests {
 
     #[test]
     fn ledger_attributes_costs_per_service() {
+        // Each service's cost depends on its own placed trajectory only:
+        // the real service also pays communication while it lags its
+        // user, and the defense cost is the chaffs' costs alone.
         let model = CostModel::default();
-        let mut ledger = CostLedger::new(2);
-        ledger.record_migration(0, &model);
-        ledger.record_migration(1, &model);
-        ledger.record_migration(1, &model);
-        ledger.record_running(2, &model);
-        ledger.record_communication(CellId::new(0), CellId::new(4), &model);
-        assert_eq!(ledger.real_service().migrations, 1);
-        assert_eq!(ledger.chaff(0).migrations, 2);
-        assert!((ledger.chaff(1).running_cost - 0.1).abs() < 1e-12);
-        assert!((ledger.real_service().communication_cost - 2.0).abs() < 1e-12);
-        assert_eq!(ledger.num_chaffs(), 2);
-        // Defense cost excludes the real service.
-        assert!((ledger.defense_cost() - (2.0 + 0.1)).abs() < 1e-12);
-        assert!((ledger.total() - (1.0 + 2.0 + 2.0 + 0.1)).abs() < 1e-12);
+        let user = [0, 1, 4].map(CellId::new);
+        let real = [0, 0, 4].map(CellId::new);
+        let chaffs = [[2, 3, 3].map(CellId::new), [5, 5, 5].map(CellId::new)];
+        let communication: f64 = user
+            .iter()
+            .zip(&real)
+            .map(|(&u, &s)| model.communication(u, s))
+            .sum();
+        assert!((communication - 0.5).abs() < 1e-12);
+        let real_cost = model.service_cost(&real) + communication;
+        assert!((real_cost - (1.0 + 0.3 + 0.5)).abs() < 1e-12);
+        assert!((model.service_cost(&chaffs[0]) - (1.0 + 0.3)).abs() < 1e-12);
+        assert!((model.service_cost(&chaffs[1]) - 0.3).abs() < 1e-12);
+        let defense: f64 = chaffs.iter().map(|c| model.service_cost(c)).sum();
+        assert!((defense - 1.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn service_cost_is_running_per_slot_plus_migration_per_cell_change() {
+        let model = CostModel::default();
+        let cells = |indices: &[usize]| -> Vec<CellId> {
+            indices.iter().map(|&i| CellId::new(i)).collect()
+        };
+        // The running cost of `slots` slots, accumulated slot by slot.
+        let running = |slots: usize| -> f64 { (0..slots).fold(0.0, |acc, _| acc + 0.1) };
+        assert_eq!(model.service_cost(&[]), 0.0);
+        // One slot: running cost only, no migration.
+        assert_eq!(model.service_cost(&cells(&[4])), 0.1);
+        // Three cell changes over five slots; staying put is free.
+        let moved = cells(&[0, 1, 1, 2, 0]);
+        assert_eq!(model.service_cost(&moved), 3.0 + running(5));
+        // A service that never moves pays exactly the running cost.
+        let parked = vec![CellId::new(2); 25];
+        assert_eq!(model.service_cost(&parked).to_bits(), running(25).to_bits());
+        assert!((model.service_cost(&parked) - 2.5).abs() < 1e-9);
+        // The unit costs scale their components independently.
+        let custom = CostModel {
+            migration: 2.0,
+            communication_per_distance: 0.0,
+            running: 0.0,
+        };
+        assert_eq!(custom.service_cost(&moved), 6.0);
     }
 }

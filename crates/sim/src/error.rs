@@ -18,15 +18,6 @@ pub enum SimError {
         /// The cell where placement was attempted.
         cell: usize,
     },
-    /// An observation-log slot did not contain one location per service.
-    ObservationArity {
-        /// Number of services the log tracks.
-        expected: usize,
-        /// Number of locations supplied for the slot.
-        found: usize,
-        /// The slot being recorded when the mismatch was detected.
-        slot: usize,
-    },
     /// A fleet-wide chaff budget (or service count derived from it)
     /// overflowed `usize`: a large per-user budget times a large
     /// population must fail loudly instead of wrapping in release
@@ -66,14 +57,6 @@ impl fmt::Display for SimError {
             SimError::NoCapacity { cell } => {
                 write!(f, "no MEC capacity available around cell {cell}")
             }
-            SimError::ObservationArity {
-                expected,
-                found,
-                slot,
-            } => write!(
-                f,
-                "observation slot {slot} has {found} locations for {expected} services"
-            ),
             SimError::BudgetOverflow { users } => {
                 write!(
                     f,

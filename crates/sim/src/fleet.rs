@@ -44,10 +44,10 @@
 //!    slot-major planned grid (always-follow placement, per-user chaff
 //!    controllers), an optional capacity replay places it row by row
 //!    through one shared [`MecNetwork`](crate::network::MecNetwork) in
-//!    global service order (spilling to the nearest free node exactly
-//!    like the single-user simulator), and one sharded gather writes the
-//!    observed [`CellGrid`] through the inverse of one global
-//!    Fisher–Yates permutation. Every user draws from an RNG seeded by
+//!    global service order (spilling to the nearest free node), and one
+//!    sharded gather writes the observed [`CellGrid`] through the inverse
+//!    of one global Fisher–Yates permutation. Every user draws from an
+//!    RNG seeded by
 //!    SplitMix64 over `(fleet seed, user index)`, and every chaff from
 //!    its own stream over `(fleet seed, user, chaff)` — so results are
 //!    bit-identical for every shard count and block size, growing the

@@ -9,17 +9,12 @@
 //! * [`migration`] — migration policies for the real service: the paper's
 //!   worst-case *always-follow* (delay-sensitive services must stay
 //!   co-located, Sec. II-A) plus a cost-aware *lazy* policy as the
-//!   extension flagged in the paper's discussion;
+//!   extension flagged in the paper's discussion, each a plain transform
+//!   of the user's trajectory;
 //! * [`cost`] — migration / communication / chaff running costs, so the
 //!   cost-privacy trade-off (Sec. VIII) is measurable;
-//! * [`observer`] — the eavesdropper's observation log: anonymized but
-//!   linkable per-service trajectories, exactly what the detectors in
-//!   `chaff-core` consume;
-//! * [`sim`] — the single-user driver, in two modes: fully online
-//!   (per-slot chaff controllers) and planned (offline strategies like OO
-//!   that need the user's whole trajectory);
 //! * [`fleet`] — fleet configuration, chaff policies and the batch
-//!   driver: sharded simulation of thousands to millions of concurrent
+//!   driver: sharded simulation of one to millions of concurrent
 //!   users through one shared MEC world, run as one whole-horizon block
 //!   and paired with the batched detection core in `chaff-core`;
 //! * [`streaming`] — the fleet engine itself: one simulation core that
@@ -31,21 +26,36 @@
 //!   (`chaff-store`): batch outcomes persist slot by slot, the streaming
 //!   engine appends as it runs, and either file restores bit-for-bit.
 //!
+//! One protected user is a fleet of one: its online chaff controllers,
+//! node capacity and anonymizing shuffle run through the same engine as
+//! a million users. A lazily migrating service is fed to
+//! [`StreamingFleetEngine::step_ingested`](streaming::StreamingFleetEngine::step_ingested)
+//! as its [`service_trajectory`](migration::MigrationPolicy::service_trajectory),
+//! and the offline strategies (ML, OO, robust, rollout), which need the
+//! whole trajectory in advance, plan their chaffs with
+//! `ChaffStrategy::generate` on a sampled trajectory instead.
+//!
 //! # Example
 //!
 //! ```
-//! use chaff_sim::sim::{Simulation, SimConfig};
-//! use chaff_core::strategy::MoStrategy;
+//! use chaff_core::detector::{BatchPrefixDetector, DetectInput};
 //! use chaff_markov::{models::ModelKind, MarkovChain};
+//! use chaff_sim::fleet::{FleetChaffPolicy, FleetChaffStrategy, FleetConfig, FleetSimulation};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let chain = MarkovChain::new(ModelKind::NonSkewed.build(10, &mut rng)?)?;
-//! let outcome = Simulation::new(&chain, SimConfig::new(50, 1))
-//!     .run_planned(&MoStrategy, &mut rng)?;
-//! assert_eq!(outcome.observed.len(), 2); // user + 1 chaff
-//! assert_eq!(outcome.observed[outcome.user_observed_index].len(), 50);
+//! // One user protected by one MO chaff, anonymized by the engine.
+//! let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Mo, 1);
+//! let outcome = FleetSimulation::new(&chain, FleetConfig::new(1, 50).with_seed(7))
+//!     .run_chaffed(&policy)?;
+//! assert_eq!(outcome.observed.num_trajectories(), 2); // user + 1 chaff
+//! let user = outcome.user_observed_indices[0];
+//! assert_eq!(outcome.observed.trajectory(user).as_slice(), outcome.user_cells.row(0));
+//! let detections =
+//!     BatchPrefixDetector::new().detect_prefixes(DetectInput::new(&chain, &outcome.observed))?;
+//! assert_eq!(detections.len(), 50);
 //! # Ok(())
 //! # }
 //! ```
@@ -59,13 +69,25 @@ pub mod cost;
 pub mod fleet;
 pub mod migration;
 pub mod network;
-pub mod observer;
 pub mod persist;
-pub mod sim;
 pub mod streaming;
 pub mod test_support;
 
 pub use error::SimError;
+
+// Single-user scenarios: one protected user run as a one-user fleet
+// (online controllers, node capacity, the anonymizing shuffle) or planned
+// with `ChaffStrategy::generate` on a sampled trajectory. The checks keep
+// the `sim::tests` and `observer::tests` paths of the single-user
+// simulator and observation log they replaced.
+#[cfg(test)]
+mod sim {
+    mod tests;
+}
+#[cfg(test)]
+mod observer {
+    mod tests;
+}
 
 /// Convenient result alias for fallible operations in this crate.
 pub type Result<T> = std::result::Result<T, SimError>;

@@ -88,7 +88,6 @@ use crate::fleet::{
     FleetConfig, FleetModel, FleetOutcome, FleetStats, LaneController,
 };
 use crate::network::MecNetwork;
-use crate::observer::fisher_yates;
 use crate::{Result, SimError};
 use chaff_core::detector::{Detection, StreamingPrefixDetector};
 use chaff_core::strategy::{EpochChains, OnlineChaffController};
@@ -96,7 +95,7 @@ use chaff_markov::{
     CellGrid, CellId, LogLikelihoodTable, MarkovChain, MobilityRegistry, TrajectoryArena,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 /// Default depth of the trailing observed-row ring.
@@ -540,6 +539,18 @@ impl<'a> FleetCore<'a> {
             stats,
         })
     }
+}
+
+/// Samples a Fisher–Yates permutation of `0..n`: `perm[original]` is the
+/// post-shuffle position of `original`. [`FleetCore::new`] draws the
+/// fleet's one permutation with it and keeps only the inverse.
+fn fisher_yates<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<usize> {
+    let mut perm: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        let j = rng.random_range(0..=i);
+        perm.swap(i, j);
+    }
+    perm
 }
 
 /// Splits a slot-major block of `width`-cell rows into per-part row
@@ -1072,6 +1083,22 @@ mod tests {
             assert_send_value(&strategy.controller(&c));
             assert_send_value(&strategy.scheduled_controller(&registry, 0));
         }
+    }
+
+    #[test]
+    fn shuffle_actually_permutes() {
+        // Across seeds, the first service must not always stay at
+        // position 0, and every draw is a permutation.
+        let mut seen_nonzero = false;
+        for seed in 0..20 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let perm = fisher_yates(4, &mut rng);
+            let mut sorted = perm.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, [0, 1, 2, 3], "seed {seed}");
+            seen_nonzero |= perm[0] != 0;
+        }
+        assert!(seen_nonzero);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 use crate::crc32::crc32;
 use crate::error::{Result, StoreError};
 use crate::format::{
-    decode_footer_tail, Header, PageEntry, Section, FOOTER_TAIL_LEN, HEADER_LEN, PAGE_ENTRY_LEN,
+    decode_footer_tail, Header, PageEntry, Section, CELL_WIDTH, FOOTER_TAIL_LEN, HEADER_LEN,
+    PAGE_ENTRY_LEN,
 };
 use crate::meta::{StoreMeta, StoreStats};
 use chaff_markov::{CellGrid, CellId, TrajectoryArena};
@@ -115,13 +116,13 @@ impl FleetStoreReader {
         let observed_order = ordered_coverage(
             &pages,
             Section::Observed,
-            header.num_services as usize * 4,
+            row_bytes(header.num_services, "services")?,
             header.horizon,
         )?;
         let users_order = ordered_coverage(
             &pages,
             Section::Users,
-            header.num_users as usize * 4,
+            row_bytes(header.num_users, "users")?,
             header.horizon,
         )?;
 
@@ -369,10 +370,22 @@ fn decode_cells(bytes: &[u8], out: &mut Vec<CellId>) {
 /// Validates that `section`'s pages tile `0..horizon` without gaps or
 /// overlap and that each page's length matches its row count; returns
 /// the page indices in row order.
+/// Bytes of one slot row of `cells` 4-byte cells. A header count whose
+/// row would overflow cannot describe a real file, so it is a typed
+/// [`StoreError::Layout`] rather than a wrapped (or panicking) product.
+fn row_bytes(cells: u64, what: &str) -> Result<u64> {
+    cells
+        .checked_mul(u64::from(CELL_WIDTH))
+        .filter(|&bytes| usize::try_from(bytes).is_ok())
+        .ok_or_else(|| StoreError::Layout {
+            reason: format!("a row of {cells} {what} overflows the address space"),
+        })
+}
+
 fn ordered_coverage(
     pages: &[PageEntry],
     section: Section,
-    row_bytes: usize,
+    row_bytes: u64,
     horizon: u64,
 ) -> Result<Vec<usize>> {
     let mut order: Vec<usize> = (0..pages.len())
@@ -390,7 +403,7 @@ fn ordered_coverage(
                 ),
             });
         }
-        if e.len != e.num_rows * row_bytes as u64 {
+        if e.num_rows.checked_mul(row_bytes) != Some(e.len) {
             return Err(StoreError::FooterCorrupt {
                 reason: format!(
                     "page {i} length {} disagrees with {} rows of {row_bytes} bytes",
@@ -398,7 +411,11 @@ fn ordered_coverage(
                 ),
             });
         }
-        next_row += e.num_rows;
+        next_row = next_row
+            .checked_add(e.num_rows)
+            .ok_or_else(|| StoreError::Layout {
+                reason: format!("page {i} pushes the {section:?} row count past u64"),
+            })?;
     }
     if next_row != horizon {
         return Err(StoreError::Incomplete {

@@ -15,6 +15,7 @@
 use chaff_core::temp::TempPath;
 use chaff_markov::CellId;
 use chaff_store::crc32::crc32;
+use chaff_store::format::{PageEntry, Section, FOOTER_TAIL_LEN, HEADER_LEN, PAGE_ENTRY_LEN};
 use chaff_store::{FleetStoreReader, FleetStoreWriter, StoreError, StoreMeta, StoreStats};
 use std::path::PathBuf;
 
@@ -220,4 +221,59 @@ fn flipped_header_byte_is_a_header_checksum_error() {
         FleetStoreReader::open(&path),
         Err(StoreError::HeaderChecksum { .. })
     ));
+}
+
+/// Writes `bytes` to a fresh temp file and opens it.
+fn open_bytes(name: &str, bytes: &[u8]) -> Result<FleetStoreReader, StoreError> {
+    let path = TempPath::new(name);
+    std::fs::write(&path, bytes).unwrap();
+    FleetStoreReader::open(&path)
+}
+
+/// CRC-valid files whose dimensions sit near the `u64` limit, built in
+/// memory from the canonical store: a row size or row count that would
+/// overflow must be a typed error at `open`, never a panic, a wrapped
+/// product or an allocation sized by the bogus count.
+#[test]
+fn dimensions_near_the_u64_limit_are_typed_errors() {
+    let valid = canonical_bytes();
+    // Huge service and user counts with a recomputed header CRC.
+    for (field, count) in [(16..24, 1u64 << 62), (24..32, 1 << 62), (16..24, u64::MAX)] {
+        let mut bytes = valid.clone();
+        bytes[field.clone()].copy_from_slice(&count.to_le_bytes());
+        let crc = crc32(&bytes[..HEADER_LEN - 4]);
+        bytes[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+        match open_bytes("store_huge_header_count", &bytes) {
+            Err(StoreError::Layout { reason }) => {
+                assert!(reason.contains(&count.to_string()), "{reason}");
+            }
+            other => panic!("header bytes {field:?} = {count}: expected Layout, got {other:?}"),
+        }
+    }
+
+    // A huge page row count with the footer index CRC recomputed.
+    let len = valid.len();
+    let tail = len - FOOTER_TAIL_LEN;
+    let index_len = u64::from_le_bytes(valid[tail + 12..tail + 20].try_into().unwrap()) as usize;
+    let index = tail - index_len;
+    let observed_entry = (index..tail)
+        .step_by(PAGE_ENTRY_LEN)
+        .find(|&at| {
+            let entry: &[u8; PAGE_ENTRY_LEN] = valid[at..at + PAGE_ENTRY_LEN].try_into().unwrap();
+            PageEntry::decode(entry, 0).unwrap().section == Section::Observed
+        })
+        .expect("the canonical store has an observed page");
+    for num_rows in [1u64 << 62, u64::MAX] {
+        let mut bytes = valid.clone();
+        let at = observed_entry + 12;
+        bytes[at..at + 8].copy_from_slice(&num_rows.to_le_bytes());
+        let crc = crc32(&bytes[index..tail]);
+        bytes[tail + 8..tail + 12].copy_from_slice(&crc.to_le_bytes());
+        match open_bytes("store_huge_page_rows", &bytes) {
+            Err(StoreError::FooterCorrupt { reason }) => {
+                assert!(reason.contains(&num_rows.to_string()), "{reason}");
+            }
+            other => panic!("num_rows = {num_rows}: expected FooterCorrupt, got {other:?}"),
+        }
+    }
 }

@@ -7,19 +7,21 @@
 //! cargo run --release --example mec_simulation
 //! ```
 //!
-//! Uses the `chaff-sim` substrate directly: MEC nodes with finite
-//! capacity, an always-follow vs a lazy migration policy for the real
-//! service, online MO chaff controllers, and the cost ledger. Shows the
-//! trade-off the paper's discussion (Sec. VIII) leaves to future work:
-//! privacy gained per unit of chaff spending, and how a lazy migration
-//! policy weakens the side channel by itself.
+//! Uses the `chaff-sim` substrate directly: the protected user is a
+//! one-user fleet whose MEC nodes have finite capacity, an always-follow
+//! vs a lazy migration policy for the real service, online MO chaff
+//! controllers, and the cost model. Shows the trade-off the paper's
+//! discussion (Sec. VIII) leaves to future work: privacy gained per unit
+//! of chaff spending, and how a lazy migration policy weakens the side
+//! channel by itself.
 
 use mec_location_privacy::core::detector::MlDetector;
 use mec_location_privacy::core::metrics::{time_average, tracking_accuracy_series};
-use mec_location_privacy::core::strategy::MoController;
-use mec_location_privacy::markov::{models::ModelKind, MarkovChain};
-use mec_location_privacy::sim::migration::LazyThreshold;
-use mec_location_privacy::sim::sim::{SimConfig, Simulation};
+use mec_location_privacy::markov::{models::ModelKind, MarkovChain, Trajectory};
+use mec_location_privacy::sim::cost::CostModel;
+use mec_location_privacy::sim::fleet::{FleetChaffPolicy, FleetChaffStrategy, FleetConfig};
+use mec_location_privacy::sim::migration::{LazyThreshold, MigrationPolicy};
+use mec_location_privacy::sim::streaming::StreamingFleetEngine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,33 +33,52 @@ fn measure(
     num_chaffs: usize,
     lazy: Option<usize>,
 ) -> Result<(f64, f64), Box<dyn std::error::Error>> {
+    let policy = FleetChaffPolicy::uniform(FleetChaffStrategy::Mo, num_chaffs);
+    let costs = CostModel::default();
     let mut accuracy_total = 0.0;
     let mut cost_total = 0.0;
     for run in 0..RUNS {
         let mut rng = StdRng::seed_from_u64(500 + run as u64);
-        let config = SimConfig::new(HORIZON, num_chaffs).with_capacity(8);
-        let sim = match lazy {
-            Some(threshold) => {
-                Simulation::new(chain, config).with_policy(LazyThreshold { threshold })
-            }
-            None => Simulation::new(chain, config),
+        let user_cells = chain.sample_trajectory(HORIZON, &mut rng);
+        let service_cells = match lazy {
+            Some(threshold) => LazyThreshold { threshold }.service_trajectory(&user_cells),
+            None => user_cells.clone(),
         };
-        // Online mode: strictly causal MO controllers, as a deployed
-        // orchestrator would run them.
-        let outcome = sim.run_online(|_| Box::new(MoController::new(chain)), &mut rng)?;
-        let detections = MlDetector.detect_prefixes(chain, &outcome.observed)?;
+        // Online mode: a one-user fleet fed the service's cells slot by
+        // slot, with strictly causal MO controllers, as a deployed
+        // orchestrator would run them, and 8 services per MEC node. The
+        // shuffle is off because tracking accuracy does not depend on
+        // service order; column 0 is the real service, then its chaffs.
+        let config = FleetConfig::new(1, HORIZON)
+            .with_capacity(8)
+            .without_anonymization();
+        let mut engine = StreamingFleetEngine::new(chain, config, &policy)?;
+        let mut observed = vec![Trajectory::new(); 1 + num_chaffs];
+        for cell in service_cells.iter() {
+            if let Some(step) = engine.step_ingested(&[cell])? {
+                let row = engine
+                    .observed_row(step.slot)
+                    .expect("the ring holds the last slot");
+                for (trajectory, &placed) in observed.iter_mut().zip(row) {
+                    trajectory.push(placed);
+                }
+            }
+        }
+        cost_total += observed[1..]
+            .iter()
+            .map(|chaff| costs.service_cost(chaff.as_slice()))
+            .sum::<f64>();
+        let detections = MlDetector.detect_prefixes(chain, &observed)?;
         // The eavesdropper tracks the *user*; under a lazy policy the
         // observed service trajectory is already a blurred version of the
         // user's physical movement, so we score against physical cells.
-        let mut trajectories = outcome.observed.clone();
-        trajectories.push(outcome.user_cells.clone());
-        let user_truth = trajectories.len() - 1;
+        observed.push(user_cells);
+        let user_truth = observed.len() - 1;
         accuracy_total += time_average(&tracking_accuracy_series(
-            &trajectories,
+            &observed,
             user_truth,
             &detections,
         ));
-        cost_total += outcome.ledger.defense_cost();
     }
     Ok((accuracy_total / RUNS as f64, cost_total / RUNS as f64))
 }

@@ -18,7 +18,6 @@ use mec_location_privacy::core::metrics::{time_average, tracking_accuracy_series
 use mec_location_privacy::core::strategy::StrategyKind;
 use mec_location_privacy::markov::{models, MarkovChain};
 use mec_location_privacy::sim::cost::CostModel;
-use mec_location_privacy::sim::sim::{SimConfig, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -49,24 +48,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         StrategyKind::Rollout,
     ] {
         let strategy = kind.build();
+        let costs = CostModel::default();
         let mut accuracy_total = 0.0;
         let mut cost_total = 0.0;
         for run in 0..RUNS {
             let mut rng = StdRng::seed_from_u64(7_000 + run as u64);
-            // Full MEC simulation: the service follows the patrol, the
-            // chaff is orchestrated by the strategy, costs are metered.
-            let outcome = Simulation::new(
-                &chain,
-                SimConfig::new(HORIZON, 1).with_cost_model(CostModel::default()),
-            )
-            .run_planned(strategy.as_ref(), &mut rng)?;
-            let detections = MlDetector.detect_prefixes(&chain, &outcome.observed)?;
-            accuracy_total += time_average(&tracking_accuracy_series(
-                &outcome.observed,
-                outcome.user_observed_index,
-                &detections,
-            ));
-            cost_total += outcome.ledger.defense_cost();
+            // Planned mode: the service follows the patrol's whole route,
+            // sampled up front because the offline strategies (ML, OO)
+            // plan the chaff from all of it; costs are metered on the
+            // chaff's trajectory.
+            let service_cells = chain.sample_trajectory(HORIZON, &mut rng);
+            let mut observed = strategy.generate(&chain, &service_cells, 1, &mut rng)?;
+            cost_total += observed
+                .iter()
+                .map(|chaff| costs.service_cost(chaff.as_slice()))
+                .sum::<f64>();
+            observed.insert(0, service_cells);
+            let detections = MlDetector.detect_prefixes(&chain, &observed)?;
+            accuracy_total += time_average(&tracking_accuracy_series(&observed, 0, &detections));
         }
         let accuracy = accuracy_total / RUNS as f64;
         let cost = cost_total / RUNS as f64;
